@@ -22,12 +22,11 @@
 
 use rmm::fleet::{run_sweep, Fnv1a, JobId, SweepConfig};
 use rmm::mac::ProtocolKind;
-use rmm::sim::{FaultPlan, GilbertElliott};
-use rmm::stats::{render_profile, render_registry, Summary, Table};
+use rmm::sim::{FaultPlan, GilbertElliott, Trace};
+use rmm::stats::{render_profile, render_registry, ProfileReport, Summary, Table};
 use rmm::workload::{
-    collect_dwell, collect_metrics, mean_group_metrics, run_chaos, run_many_jobs, run_one,
-    run_one_profiled_traced, run_one_traced, ChaosConfig, ChaosOutcome, ChaosRepro, ChurnPlan,
-    RunResult, Scenario,
+    collect_dwell, collect_metrics, mean_group_metrics, run, run_chaos, run_many_jobs, run_one,
+    ChaosConfig, ChaosOutcome, ChaosRepro, ChurnPlan, Probes, RunResult, RunSpec, Scenario,
 };
 use std::time::Duration;
 
@@ -847,9 +846,33 @@ pub struct TraceExport {
     pub summary: String,
 }
 
+/// One traced run on the fast path, optionally with the phase timers
+/// on as well.
+fn traced_run(
+    scenario: &Scenario,
+    protocol: ProtocolKind,
+    seed: u64,
+    profile: bool,
+) -> (RunResult, Trace, Option<ProfileReport>) {
+    let spec = RunSpec {
+        probes: Probes {
+            trace: true,
+            profile,
+            ..Probes::default()
+        },
+        ..RunSpec::default()
+    };
+    let out = run(scenario, protocol, seed, &spec);
+    (
+        out.result,
+        out.trace.expect("tracing was enabled"),
+        out.profile,
+    )
+}
+
 /// Executes a single traced run and renders its export artifacts.
 pub fn export_trace(protocol: ProtocolKind, scenario: &Scenario, seed: u64) -> TraceExport {
-    let (result, trace) = run_one_traced(scenario, protocol, seed);
+    let (result, trace, _) = traced_run(scenario, protocol, seed, false);
     let metrics = collect_metrics(trace.events(), &result.messages);
     let mut doc = serde_json::Map::new();
     doc.insert("manifest", serde_json::to_value(&result.manifest));
@@ -892,7 +915,8 @@ pub struct ProfExport {
 /// times derived from the event log; trace-recording cost is therefore
 /// included in the phase attribution (dominated by the Resolve phase).
 pub fn export_profile(protocol: ProtocolKind, scenario: &Scenario, seed: u64) -> ProfExport {
-    let (result, report, trace) = run_one_profiled_traced(scenario, protocol, seed);
+    let (result, trace, report) = traced_run(scenario, protocol, seed, true);
+    let report = report.expect("profiling was enabled");
     let dwell = collect_dwell(trace.events(), scenario.n_nodes);
     let mut registry = collect_metrics(trace.events(), &result.messages);
     registry.merge(&dwell.to_registry());
@@ -990,7 +1014,7 @@ pub fn compare_metrics_json(scenario: &Scenario, seed: u64) -> String {
     let rows: Vec<serde_json::Value> = ProtocolKind::ALL
         .into_iter()
         .map(|p| {
-            let (result, trace) = run_one_traced(scenario, p, seed);
+            let (result, trace, _) = traced_run(scenario, p, seed, false);
             let metrics = collect_metrics(trace.events(), &result.messages);
             serde_json::json!({
                 "protocol": p.name(),

@@ -16,7 +16,7 @@ use rmm_mac::ProtocolKind;
 use rmm_route::{DiscoveryConfig, RouteSim};
 use rmm_sim::FaultPlan;
 use rmm_stats::{Summary, Table};
-use rmm_workload::{run_mobile, MobilityConfig, Scenario};
+use rmm_workload::{run, MobilityConfig, RunSpec, Scenario};
 use serde::{Deserialize, Serialize};
 
 fn base(options: &Options) -> Scenario {
@@ -337,7 +337,12 @@ pub fn mobility(options: &Options) {
     }
     let rates: Vec<f64> = run_grid(options, "ext_mobility", &hash_parts, &jobs, |id, &ci| {
         let (config, p) = cells[ci];
-        run_mobile(&scenario, p, config, id.seed)
+        let spec = RunSpec {
+            mobility: Some(config),
+            ..RunSpec::default()
+        };
+        run(&scenario, p, id.seed, &spec)
+            .result
             .group_metrics
             .delivery_rate
     });

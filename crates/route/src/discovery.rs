@@ -86,10 +86,7 @@ impl RouteSim {
     pub fn new(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> Self {
         let topo = rmm_workload::uniform_square(scenario.n_nodes, scenario.radius, seed);
         let nodes = MacNode::build_network(&topo, protocol, scenario.timing, seed);
-        let mut engine = Engine::new(topo.clone(), scenario.capture, seed.wrapping_add(0x5eed));
-        if scenario.fer > 0.0 {
-            engine.set_fer(scenario.fer);
-        }
+        let engine = scenario.build_engine(topo.clone(), seed);
         let n = topo.len();
         let background = (scenario.msg_rate > 0.0)
             .then(|| TrafficGen::new(scenario.msg_rate, scenario.mix, seed));
@@ -429,6 +426,24 @@ mod tests {
         );
         assert!(!result.reached);
         assert_eq!(result.rebroadcasts, 1);
+    }
+
+    #[test]
+    fn scenario_faults_reach_the_flood() {
+        let healthy = scenario(80);
+        let (origin, target) = RouteSim::new(&healthy, ProtocolKind::Bmmm, 7)
+            .pick_distant_pair(3)
+            .expect("a 3-hop pair exists");
+        // Every station but the origin is down from the first slot: no
+        // one can decode the RREQ, so the flood never leaves the origin.
+        let faults = (0..80u32)
+            .filter(|&i| NodeId(i) != origin)
+            .fold(rmm_sim::FaultPlan::new(), |f, i| f.crash(NodeId(i), 0));
+        let mut sim = RouteSim::new(&healthy.with_faults(faults), ProtocolKind::Bmmm, 7);
+        assert_eq!(sim.pick_distant_pair(3), Some((origin, target)));
+        let result = sim.discover(origin, target, DiscoveryConfig::default());
+        assert!(!result.reached);
+        assert_eq!(result.coverage, 1);
     }
 
     #[test]

@@ -22,9 +22,7 @@ use rmm_mac::ProtocolKind;
 use rmm_sim::TraceEvent;
 use rmm_stats::ProfileReport;
 use rmm_workload::observe::PhaseTimings;
-use rmm_workload::{
-    run_one, run_one_profiled, run_one_profiled_traced, run_one_traced, RunResult, Scenario,
-};
+use rmm_workload::{run, Probes, RunResult, RunSpec, Scenario};
 use serde::{Deserialize, Serialize};
 
 /// Wire-protocol version, folded into the cache header so a protocol
@@ -147,8 +145,8 @@ pub fn canonical_result(mut result: RunResult) -> RunResult {
     result
 }
 
-/// Executes one cell with exactly the runner entry point the request's
-/// flags select, canonicalizing the result.
+/// Executes one cell with exactly the probes the request's flags
+/// select, canonicalizing the result.
 pub fn compute_cell(
     scenario: &Scenario,
     protocol: ProtocolKind,
@@ -156,36 +154,19 @@ pub fn compute_cell(
     trace: bool,
     profile: bool,
 ) -> ServeCell {
-    match (trace, profile) {
-        (false, false) => ServeCell {
-            result: canonical_result(run_one(scenario, protocol, seed)),
-            trace: None,
-            profile: None,
+    let spec = RunSpec {
+        probes: Probes {
+            trace,
+            profile,
+            ..Probes::default()
         },
-        (true, false) => {
-            let (result, trace) = run_one_traced(scenario, protocol, seed);
-            ServeCell {
-                result: canonical_result(result),
-                trace: Some(trace.events().to_vec()),
-                profile: None,
-            }
-        }
-        (false, true) => {
-            let (result, report) = run_one_profiled(scenario, protocol, seed);
-            ServeCell {
-                result: canonical_result(result),
-                trace: None,
-                profile: Some(report),
-            }
-        }
-        (true, true) => {
-            let (result, report, trace) = run_one_profiled_traced(scenario, protocol, seed);
-            ServeCell {
-                result: canonical_result(result),
-                trace: Some(trace.events().to_vec()),
-                profile: Some(report),
-            }
-        }
+        ..RunSpec::default()
+    };
+    let out = run(scenario, protocol, seed, &spec);
+    ServeCell {
+        result: canonical_result(out.result),
+        trace: out.trace.map(|t| t.events().to_vec()),
+        profile: out.profile,
     }
 }
 
@@ -272,11 +253,18 @@ mod tests {
     fn traced_cell_matches_run_one_traced() {
         let s = tiny();
         let cell = compute_cell(&s, ProtocolKind::Lamm, 9, true, false);
-        let (result, trace) = rmm_workload::run_one_traced(&s, ProtocolKind::Lamm, 9);
-        assert_eq!(cell.trace.as_deref().unwrap(), trace.events());
+        let spec = RunSpec {
+            probes: Probes {
+                trace: true,
+                ..Probes::default()
+            },
+            ..RunSpec::default()
+        };
+        let out = run(&s, ProtocolKind::Lamm, 9, &spec);
+        assert_eq!(cell.trace.as_deref().unwrap(), out.trace.unwrap().events());
         assert_eq!(
             serde_json::to_string(&cell.result).unwrap(),
-            serde_json::to_string(&canonical_result(result)).unwrap()
+            serde_json::to_string(&canonical_result(out.result)).unwrap()
         );
     }
 

@@ -19,7 +19,6 @@
 
 use crate::frame::{Dest, Frame, FrameKind};
 use crate::ids::{MsgId, NodeId};
-use bytes::{Buf, BufMut, BytesMut};
 
 /// A 48-bit IEEE MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,30 +164,38 @@ fn ra_of(frame: &Frame) -> MacAddr {
 /// microsecond field the spec carries (50 µs for FHSS);
 /// `body_per_data_slot` sizes the payload of data frames.
 pub fn encode(frame: &Frame, us_per_slot: f64, body_per_data_slot: usize) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_slice(&frame_control(frame.kind));
+    let mut buf = Vec::with_capacity(64);
+    buf.extend_from_slice(&frame_control(frame.kind));
     let duration_us = (f64::from(frame.duration) * us_per_slot).round() as u16;
-    buf.put_u16_le(duration_us);
-    buf.put_slice(&ra_of(frame).0);
+    buf.extend_from_slice(&duration_us.to_le_bytes());
+    buf.extend_from_slice(&ra_of(frame).0);
     match frame.kind {
         FrameKind::Rts => {
-            buf.put_slice(&MacAddr::from_node(frame.src).0);
+            buf.extend_from_slice(&MacAddr::from_node(frame.src).0);
         }
         FrameKind::Cts | FrameKind::Ack | FrameKind::Rak | FrameKind::Nak => {}
         FrameKind::Data => {
-            buf.put_slice(&MacAddr::from_node(frame.src).0);
+            buf.extend_from_slice(&MacAddr::from_node(frame.src).0);
             // BSSID: the ad hoc cell id; we use the broadcast BSSID.
-            buf.put_slice(&[0xFF; 6]);
+            buf.extend_from_slice(&[0xFF; 6]);
             // Sequence control: the per-station sequence number << 4
             // (fragment number 0).
-            buf.put_u16_le((frame.msg.seq as u16) << 4);
+            buf.extend_from_slice(&((frame.msg.seq as u16) << 4).to_le_bytes());
             let body = frame.slots as usize * body_per_data_slot;
-            buf.put_bytes(0xA5, body);
+            buf.resize(buf.len() + body, 0xA5);
         }
     }
     let fcs = crc32(&buf);
-    buf.put_u32_le(fcs);
-    buf.to_vec()
+    buf.extend_from_slice(&fcs.to_le_bytes());
+    buf
+}
+
+/// Splits the first `N` octets off the front of `buf`. Callers check
+/// the remaining length first.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_first_chunk::<N>().expect("length checked");
+    *buf = rest;
+    *head
 }
 
 /// Decodes 802.11 octets back into a [`WireFrame`], verifying the FCS.
@@ -219,32 +226,25 @@ pub fn decode(octets: &[u8]) -> Result<WireFrame, WireError> {
         return Err(WireError::BadFcs);
     }
     let mut buf = body;
-    let fc0 = buf.get_u8();
-    let _flags = buf.get_u8();
+    let [fc0, _flags] = take(&mut buf);
     let kind = kind_of(fc0)?;
-    let duration_us = buf.get_u16_le();
-    let mut ra = [0u8; 6];
-    buf.copy_to_slice(&mut ra);
-    let ra = MacAddr(ra);
+    let duration_us = u16::from_le_bytes(take(&mut buf));
+    let ra = MacAddr(take(&mut buf));
     let (ta, seq, body_len) = match kind {
         FrameKind::Rts => {
-            if buf.remaining() < 6 {
+            if buf.len() < 6 {
                 return Err(WireError::Truncated);
             }
-            let mut ta = [0u8; 6];
-            buf.copy_to_slice(&mut ta);
-            (Some(MacAddr(ta)), None, 0)
+            (Some(MacAddr(take(&mut buf))), None, 0)
         }
         FrameKind::Data => {
-            if buf.remaining() < 14 {
+            if buf.len() < 14 {
                 return Err(WireError::Truncated);
             }
-            let mut ta = [0u8; 6];
-            buf.copy_to_slice(&mut ta);
-            let mut _bssid = [0u8; 6];
-            buf.copy_to_slice(&mut _bssid);
-            let seq_ctl = buf.get_u16_le();
-            (Some(MacAddr(ta)), Some(seq_ctl >> 4), buf.remaining())
+            let ta = MacAddr(take(&mut buf));
+            let _bssid: [u8; 6] = take(&mut buf);
+            let seq_ctl = u16::from_le_bytes(take(&mut buf));
+            (Some(ta), Some(seq_ctl >> 4), buf.len())
         }
         _ => (None, None, 0),
     };

@@ -31,7 +31,7 @@
 
 use crate::churn::ChurnPlan;
 use crate::observe::PhaseTimings;
-use crate::runner::{run_one_forensic, RunResult};
+use crate::runner::{run, Probes, RunResult, RunSpec, Stepping};
 use crate::scenario::Scenario;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -166,8 +166,27 @@ impl ChaosSchedule {
 /// once on the naive reference stepper — and checks every chaos
 /// invariant. Empty means the run was clean.
 pub fn check_invariants(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> Vec<Violation> {
-    let (fast, fast_trace, records) = run_one_forensic(scenario, protocol, seed, true);
-    let (naive, naive_trace, _) = run_one_forensic(scenario, protocol, seed, false);
+    let run_with = |stepping| {
+        let probes = Probes {
+            trace: true,
+            profile: false,
+            forensic: true,
+        };
+        let spec = RunSpec {
+            stepping,
+            probes,
+            mobility: None,
+        };
+        run(scenario, protocol, seed, &spec)
+    };
+    let fast = run_with(Stepping::Fast);
+    let naive = run_with(Stepping::Naive);
+    let fast_trace = fast.trace.expect("tracing was enabled");
+    let naive_trace = naive.trace.expect("tracing was enabled");
+    let nodes = fast.nodes.expect("forensic probe was enabled");
+    let records = || nodes.iter().flat_map(|n| n.records());
+    let fast = fast.result;
+    let naive = naive.result;
     let mut out = Vec::new();
     if fast_trace.events() != naive_trace.events() {
         let idx = fast_trace
@@ -191,11 +210,11 @@ pub fn check_invariants(scenario: &Scenario, protocol: ProtocolKind, seed: u64) 
     check_termination(
         scenario.sim_slots,
         scenario.timing.timeout,
-        &records,
+        records(),
         &mut out,
     );
-    check_membership(&scenario.churn, &records, &mut out);
-    check_retry_budget(&scenario.timing, fast_trace.events(), &records, &mut out);
+    check_membership(&scenario.churn, records(), &mut out);
+    check_retry_budget(&scenario.timing, fast_trace.events(), records(), &mut out);
     check_airtime(scenario.sim_slots, &fast, &mut out);
     out
 }
@@ -220,10 +239,10 @@ fn check_stall(result: &RunResult, out: &mut Vec<Violation>) {
     }
 }
 
-fn check_termination(
+fn check_termination<'a>(
     sim_slots: Slot,
     timeout: Slot,
-    records: &[SentRecord],
+    records: impl IntoIterator<Item = &'a SentRecord>,
     out: &mut Vec<Violation>,
 ) {
     for rec in records {
@@ -255,7 +274,11 @@ fn check_termination(
     }
 }
 
-fn check_membership(churn: &ChurnPlan, records: &[SentRecord], out: &mut Vec<Violation>) {
+fn check_membership<'a>(
+    churn: &ChurnPlan,
+    records: impl IntoIterator<Item = &'a SentRecord>,
+    out: &mut Vec<Violation>,
+) {
     for rec in records {
         if !churn.member_at(rec.msg.src, rec.arrival) {
             out.push(Violation::new(
@@ -280,10 +303,10 @@ fn check_membership(churn: &ChurnPlan, records: &[SentRecord], out: &mut Vec<Vio
     }
 }
 
-fn check_retry_budget(
+fn check_retry_budget<'a>(
     timing: &MacTiming,
     events: &[TraceEvent],
-    records: &[SentRecord],
+    records: impl IntoIterator<Item = &'a SentRecord>,
     out: &mut Vec<Violation>,
 ) {
     // A `Retry` event marks a recontention *without* forward progress; a

@@ -1,5 +1,6 @@
-//! The simulation runner: one seeded run, and parallel sweeps across
-//! seeds (the paper averages 100 runs per data point).
+//! The simulation runner: one seeded run ([`run`], configured by a
+//! [`RunSpec`]), and parallel sweeps across seeds (the paper averages
+//! 100 runs per data point).
 
 use crate::churn::EpochMetrics;
 use crate::mobility::{MobilityConfig, RandomWaypoint};
@@ -10,15 +11,15 @@ use crate::traffic::TrafficGen;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rmm_geom::Point;
-use rmm_mac::{FrameKindCounts, MacNode, Outcome, ProtocolKind, SentRecord};
-use rmm_sim::{AirtimeBreakdown, Engine, MsgId, NodeId, Slot, Trace};
+use rmm_mac::{FrameKindCounts, MacNode, Outcome, ProtocolKind};
+use rmm_sim::{AirtimeBreakdown, Engine, MsgId, NodeId, Slot, Topology, Trace};
 use rmm_stats::{MessageMetric, ProfileReport, RunMetrics};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Dedicated seed stream for the burst-error channel ("burst").
-const BURST_SEED: u64 = 0x0062_7572_7374;
+/// Dedicated seed stream for beacon position noise ("noise").
+const NOISE_SEED: u64 = 0x006e_6f69_7365;
 
 /// Gaussian sample via Box–Muller (keeps the dependency set small).
 fn gaussian(rng: &mut SmallRng, sigma: f64) -> f64 {
@@ -167,146 +168,149 @@ pub struct RunResult {
     pub manifest: RunManifest,
 }
 
+/// How the engine advances between the events the runner injects.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Stepping {
+    /// The event-horizon fast path: `Engine::advance_to` skips dead air.
+    #[default]
+    Fast,
+    /// Slot-by-slot stepping: the reference the differential suites
+    /// check the fast path against. Bit-exact with [`Stepping::Fast`].
+    Naive,
+}
+
+/// Pure observers a run can carry. None of them perturbs the
+/// simulation: a probed run is byte-identical to an unprobed one, apart
+/// from wall-clock provenance and `RunManifest::traced`, which records
+/// [`Probes::trace`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Probes {
+    /// Record the full protocol event trace ([`RunOutput::trace`]).
+    pub trace: bool,
+    /// Run the engine's phase timers ([`RunOutput::profile`]). The
+    /// attribution includes the (small) cost of any other probe.
+    pub profile: bool,
+    /// Hand back the final stations ([`RunOutput::nodes`]): every
+    /// sender's service records and every receiver's ground truth.
+    pub forensic: bool,
+}
+
+/// Everything about one run that is not the scenario itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunSpec {
+    /// Fast or naive engine stepping.
+    pub stepping: Stepping,
+    /// Observers to attach.
+    pub probes: Probes,
+    /// Random-waypoint mobility with periodic beaconing; `None` is a
+    /// static topology.
+    pub mobility: Option<MobilityConfig>,
+}
+
+/// What one [`run`] produced: the result plus whatever the probes
+/// asked for.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The run's result.
+    pub result: RunResult,
+    /// The protocol event trace, when [`Probes::trace`] was set.
+    pub trace: Option<Trace>,
+    /// The phase-timer report, when [`Probes::profile`] was set.
+    pub profile: Option<ProfileReport>,
+    /// The final stations, when [`Probes::forensic`] was set.
+    pub nodes: Option<Vec<MacNode>>,
+}
+
 /// Executes one seeded run of `scenario` under `protocol`, using the
 /// engine's event-horizon fast path (bit-exact with naive stepping; see
 /// [`run_one_naive`]).
 pub fn run_one(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> RunResult {
-    run_one_impl(scenario, protocol, seed, false, true, false, false).0
+    run(scenario, protocol, seed, &RunSpec::default()).result
 }
 
-/// [`run_one`] with naive slot-by-slot stepping. Reference
-/// implementation for the differential determinism suite; produces a
-/// byte-identical result (modulo wall-clock provenance).
+/// [`run_one`] with naive slot-by-slot stepping.
 pub fn run_one_naive(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> RunResult {
-    run_one_impl(scenario, protocol, seed, false, false, false, false).0
+    let spec = RunSpec {
+        stepping: Stepping::Naive,
+        ..RunSpec::default()
+    };
+    run(scenario, protocol, seed, &spec).result
 }
 
-/// [`run_one`] with event tracing enabled: returns the result together
-/// with the full protocol event trace. Tracing only *records* — the
-/// simulation is slot-for-slot identical to the untraced run.
-pub fn run_one_traced(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (RunResult, Trace) {
-    let (result, trace, _, _) = run_one_impl(scenario, protocol, seed, true, true, false, false);
-    (result, trace.expect("tracing was enabled"))
-}
-
-/// [`run_one_traced`] with naive slot-by-slot stepping (the reference
-/// for differential testing).
-pub fn run_one_traced_naive(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (RunResult, Trace) {
-    let (result, trace, _, _) = run_one_impl(scenario, protocol, seed, true, false, false, false);
-    (result, trace.expect("tracing was enabled"))
-}
-
-/// [`run_one`] with engine phase-timer profiling enabled: returns the
-/// result together with the per-phase cost attribution. Profiling is a
-/// pure observer — the result is byte-identical (modulo wall-clock
-/// provenance) to the unprofiled run; the differential suite checks
-/// this across every protocol.
+/// [`run_one`] with the engine's phase timers on: the result together
+/// with the per-phase cost attribution.
 pub fn run_one_profiled(
     scenario: &Scenario,
     protocol: ProtocolKind,
     seed: u64,
 ) -> (RunResult, ProfileReport) {
-    let (result, _, profile, _) = run_one_impl(scenario, protocol, seed, false, true, true, false);
-    (result, profile.expect("profiling was enabled"))
+    let spec = RunSpec {
+        probes: Probes {
+            profile: true,
+            ..Probes::default()
+        },
+        ..RunSpec::default()
+    };
+    let out = run(scenario, protocol, seed, &spec);
+    (out.result, out.profile.expect("profiling was enabled"))
 }
 
-/// [`run_one_profiled`] with event tracing also enabled, for reports
-/// that want phase timers, the airtime ledger, and trace-derived dwell
-/// histograms from one single run. The timer attribution includes the
-/// (small) cost of trace recording itself.
-pub fn run_one_profiled_traced(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (RunResult, ProfileReport, Trace) {
-    let (result, trace, profile, _) =
-        run_one_impl(scenario, protocol, seed, true, true, true, false);
-    (
-        result,
-        profile.expect("profiling was enabled"),
-        trace.expect("tracing was enabled"),
-    )
+/// The positions stations advertise in their beacons: the true
+/// positions, plus Gaussian GPS error drawn from `noise` when `sigma`
+/// is positive. LAMM reads only this table; the channel keeps using
+/// the true geometry.
+fn advertise(topo: &Topology, sigma: f64, noise: &mut SmallRng) -> Arc<Vec<Point>> {
+    let positions = topo.positions();
+    if sigma > 0.0 {
+        Arc::new(
+            positions
+                .iter()
+                .map(|p| p.offset(gaussian(noise, sigma), gaussian(noise, sigma)))
+                .collect(),
+        )
+    } else {
+        Arc::new(positions.to_vec())
+    }
 }
 
-/// One run with everything an invariant checker needs below the metric
-/// aggregation: the result, the full protocol event trace, and every
-/// sender's raw service records (`record.msg.src` identifies the
-/// sender). `fast` selects the event-horizon fast path or the naive
-/// reference stepper — the chaos harness runs both and diffs them.
-pub fn run_one_forensic(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-    fast: bool,
-) -> (RunResult, Trace, Vec<SentRecord>) {
-    let (result, trace, _, records) =
-        run_one_impl(scenario, protocol, seed, true, fast, false, true);
-    (result, trace.expect("tracing was enabled"), records)
+/// The moving world of a mobile run: ground truth walks every
+/// `update_period` slots, and stations see it only as of the last
+/// beacon exchange.
+struct Mobile {
+    config: MobilityConfig,
+    waypoint: RandomWaypoint,
+    /// The topology as of the last beacon: what senders believe.
+    beacon: Topology,
 }
 
-fn run_one_impl(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-    traced: bool,
-    fast: bool,
-    profiled: bool,
-    forensic: bool,
-) -> (
-    RunResult,
-    Option<Trace>,
-    Option<ProfileReport>,
-    Vec<SentRecord>,
-) {
+/// Executes one seeded run of `scenario` under `protocol`, as `spec`
+/// says: fast or naive stepping, the probes to attach, and static or
+/// mobile stations.
+///
+/// Under mobility, ground truth moves every `update_period` slots;
+/// stations refresh their neighbor tables and advertised positions only
+/// every `beacon_period` slots, so they act on *stale* beacon state in
+/// between — the realistic failure mode for neighbor-list-based
+/// multicast.
+pub fn run(scenario: &Scenario, protocol: ProtocolKind, seed: u64, spec: &RunSpec) -> RunOutput {
+    let fast = spec.stepping == Stepping::Fast;
     let t_setup = Instant::now();
     let topo = uniform_square(scenario.n_nodes, scenario.radius, seed);
     let mean_degree = topo.mean_degree();
-    let mut nodes = if scenario.position_noise > 0.0 {
-        // Stations advertise noisy GPS positions in their beacons; the
-        // channel keeps using the true geometry.
-        let mut noise_rng = SmallRng::seed_from_u64(seed ^ 0x006e_6f69_7365);
-        let advertised: Vec<Point> = topo
-            .positions()
-            .iter()
-            .map(|p| {
-                p.offset(
-                    gaussian(&mut noise_rng, scenario.position_noise),
-                    gaussian(&mut noise_rng, scenario.position_noise),
-                )
-            })
-            .collect();
-        MacNode::build_network_with_positions(
-            &topo,
-            Arc::new(advertised),
-            protocol,
-            scenario.timing,
-            seed,
-        )
-    } else {
-        MacNode::build_network(&topo, protocol, scenario.timing, seed)
-    };
-    let mut engine = Engine::new(topo.clone(), scenario.capture, seed.wrapping_add(0x5eed));
-    if scenario.fer > 0.0 {
-        engine.set_fer(scenario.fer);
-    }
-    if !scenario.faults.is_empty() {
-        engine.set_faults(scenario.faults.clone());
-    }
-    if let Some(model) = scenario.burst {
-        engine.set_burst(model, seed ^ BURST_SEED);
-    }
-    if traced {
+    let mut noise = SmallRng::seed_from_u64(seed ^ NOISE_SEED);
+    let advertised = advertise(&topo, scenario.position_noise, &mut noise);
+    let mut nodes =
+        MacNode::build_network_with_positions(&topo, advertised, protocol, scenario.timing, seed);
+    let mut mobile = spec.mobility.map(|config| Mobile {
+        config,
+        waypoint: RandomWaypoint::new(topo.positions().to_vec(), config, seed),
+        beacon: topo.clone(),
+    });
+    let mut engine = scenario.build_engine(topo, seed);
+    if spec.probes.trace {
         engine.enable_trace();
     }
-    if profiled {
+    if spec.probes.profile {
         engine.enable_profiling();
     }
     let mut traffic = TrafficGen::new(scenario.msg_rate, scenario.mix, seed);
@@ -316,32 +320,56 @@ fn run_one_impl(
 
     let t_simulate = Instant::now();
     // The traffic stream is drawn per slot either way (stream identity);
-    // the fast path only wakes the engine for slots with arrivals and
-    // lets `advance_to` fast-forward the dead air in between.
+    // the fast path only wakes the engine for slots with external events
+    // and lets `advance_to` fast-forward the dead air in between. Every
+    // external event must land at its exact slot, so the fast path
+    // catches the engine up before mutating the world it simulates.
     for t in 0..scenario.sim_slots {
-        traffic.tick(engine.topology(), t, &mut arrivals);
+        if let Some(m) = &mut mobile {
+            if t > 0 && t % m.config.update_period == 0 {
+                if fast {
+                    engine.advance_to(&mut nodes, t);
+                }
+                m.waypoint.step(m.config.update_period);
+                engine.set_topology(m.waypoint.topology(scenario.radius));
+            }
+            if t > 0 && t % m.config.beacon_period == 0 {
+                if fast {
+                    engine.advance_to(&mut nodes, t);
+                }
+                m.beacon = engine.topology().clone();
+                let advertised = advertise(&m.beacon, scenario.position_noise, &mut noise);
+                for (i, node) in nodes.iter_mut().enumerate() {
+                    node.refresh_neighbors(&m.beacon, Arc::clone(&advertised));
+                    // The refresh mutates stations outside the engine:
+                    // invalidate their cached wakeup hints.
+                    if fast {
+                        engine.wake(NodeId(i as u32));
+                    }
+                }
+            }
+        }
+        // Requests are addressed to the neighbors the sender *believes*
+        // it has: the beacon view under mobility, else the ground truth.
+        let view = mobile.as_ref().map_or(engine.topology(), |m| &m.beacon);
+        traffic.tick(view, t, &mut arrivals);
         // Membership churn rewrites the arrival list *after* the traffic
         // draws, so the RNG stream is identical with or without a plan.
         scenario.churn.filter_arrivals(t, &mut arrivals);
-        if fast {
-            if !arrivals.is_empty() {
-                engine.advance_to(&mut nodes, t);
-                for a in &arrivals {
-                    nodes[a.node.index()].enqueue(a.kind, a.receivers.clone(), t);
-                    // The enqueue perturbs the station from outside the
-                    // engine: force its next on_slot past any stale hint.
-                    engine.wake(a.node);
-                }
-            }
-        } else {
-            for a in &arrivals {
-                nodes[a.node.index()].enqueue(a.kind, a.receivers.clone(), t);
+        if fast && !arrivals.is_empty() {
+            engine.advance_to(&mut nodes, t);
+        }
+        for a in &arrivals {
+            nodes[a.node.index()].enqueue(a.kind, a.receivers.clone(), t);
+            // The enqueue perturbs the station from outside the engine:
+            // force its next on_slot past any stale hint.
+            if fast {
+                engine.wake(a.node);
             }
         }
         // The watchdog inspects the network at multiples of its window,
-        // before slot `t` is simulated (the fast path catches the engine
-        // up first; chunked `advance_to` is bit-exact, so enabling the
-        // watchdog never changes the run itself).
+        // before slot `t` is simulated (chunked `advance_to` is
+        // bit-exact, so enabling the watchdog never changes the run).
         if let Some(w) = scenario.stall_window {
             if t > 0 && t % w == 0 {
                 if fast {
@@ -370,14 +398,6 @@ fn run_one_impl(
     for node in &nodes {
         frames.add(&node.counters().sent_by_kind);
     }
-    let records = if forensic {
-        nodes
-            .iter()
-            .flat_map(|n| n.records().iter().cloned())
-            .collect()
-    } else {
-        Vec::new()
-    };
     let churn_epochs = scenario
         .churn
         .epoch_metrics(&messages, scenario.reliability_threshold);
@@ -399,7 +419,7 @@ fn run_one_impl(
             protocol,
             seed,
             slot_budget: scenario.sim_slots,
-            traced,
+            traced: spec.probes.trace,
             wall_clock: PhaseTimings {
                 setup_us,
                 simulate_us,
@@ -407,193 +427,23 @@ fn run_one_impl(
             },
         },
     };
-    let profile = engine.take_profile();
-    (result, engine.take_trace(), profile, records)
-}
-
-/// Executes one seeded run with random-waypoint mobility and periodic
-/// beaconing. Ground truth moves every `mobility.update_period` slots;
-/// stations refresh their neighbor tables and advertised positions only
-/// every `mobility.beacon_period` slots, so they act on *stale* beacon
-/// state in between — the realistic failure mode for neighbor-list-based
-/// multicast.
-pub fn run_mobile(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    mobility: MobilityConfig,
-    seed: u64,
-) -> RunResult {
-    run_mobile_impl(scenario, protocol, mobility, seed, true)
-}
-
-/// [`run_mobile`] with naive slot-by-slot stepping (the reference for
-/// differential testing).
-pub fn run_mobile_naive(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    mobility: MobilityConfig,
-    seed: u64,
-) -> RunResult {
-    run_mobile_impl(scenario, protocol, mobility, seed, false)
-}
-
-fn run_mobile_impl(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    mobility: MobilityConfig,
-    seed: u64,
-    fast: bool,
-) -> RunResult {
-    let t_setup = Instant::now();
-    let initial = uniform_square(scenario.n_nodes, scenario.radius, seed);
-    let mut waypoint = RandomWaypoint::new(initial.positions().to_vec(), mobility, seed);
-    let mut true_topo = waypoint.topology(scenario.radius);
-    let mean_degree = true_topo.mean_degree();
-    let mut beacon_topo = true_topo.clone();
-    let advertised = Arc::new(beacon_topo.positions().to_vec());
-    let mut nodes = MacNode::build_network_with_positions(
-        &beacon_topo,
-        advertised,
-        protocol,
-        scenario.timing,
-        seed,
-    );
-    let mut engine = Engine::new(
-        true_topo.clone(),
-        scenario.capture,
-        seed.wrapping_add(0x5eed),
-    );
-    if scenario.fer > 0.0 {
-        engine.set_fer(scenario.fer);
-    }
-    if !scenario.faults.is_empty() {
-        engine.set_faults(scenario.faults.clone());
-    }
-    if let Some(model) = scenario.burst {
-        engine.set_burst(model, seed ^ BURST_SEED);
-    }
-    let mut traffic = TrafficGen::new(scenario.msg_rate, scenario.mix, seed);
-    let mut arrivals = Vec::new();
-    let mut stalls = Vec::new();
-    let setup_us = t_setup.elapsed().as_micros() as u64;
-
-    let t_simulate = Instant::now();
-    for t in 0..scenario.sim_slots {
-        if t > 0 && t % mobility.update_period == 0 {
-            // External events must land at their exact slot: catch the
-            // engine up before mutating the world it simulates.
-            if fast {
-                engine.advance_to(&mut nodes, t);
-            }
-            waypoint.step(mobility.update_period);
-            true_topo = waypoint.topology(scenario.radius);
-            engine.set_topology(true_topo.clone());
-        }
-        if t > 0 && t % mobility.beacon_period == 0 {
-            if fast {
-                engine.advance_to(&mut nodes, t);
-            }
-            beacon_topo = true_topo.clone();
-            let advertised = Arc::new(beacon_topo.positions().to_vec());
-            for (i, node) in nodes.iter_mut().enumerate() {
-                node.refresh_neighbors(&beacon_topo, Arc::clone(&advertised));
-                // The refresh mutates stations outside the engine:
-                // invalidate their cached wakeup hints.
-                if fast {
-                    engine.wake(NodeId(i as u32));
-                }
-            }
-        }
-        // Requests are addressed to the neighbors the sender *believes*
-        // it has — the beacon view, not the ground truth.
-        traffic.tick(&beacon_topo, t, &mut arrivals);
-        scenario.churn.filter_arrivals(t, &mut arrivals);
-        if fast && !arrivals.is_empty() {
-            engine.advance_to(&mut nodes, t);
-        }
-        for a in &arrivals {
-            nodes[a.node.index()].enqueue(a.kind, a.receivers.clone(), t);
-            if fast {
-                engine.wake(a.node);
-            }
-        }
-        if let Some(w) = scenario.stall_window {
-            if t > 0 && t % w == 0 {
-                if fast {
-                    engine.advance_to(&mut nodes, t);
-                }
-                check_stalls(&engine, &nodes, t, w, &mut stalls);
-            }
-        }
-        if !fast {
-            engine.step(&mut nodes);
-        }
-    }
-    if fast {
-        engine.advance_to(&mut nodes, scenario.sim_slots);
-    }
-    for node in &mut nodes {
-        node.drain_unfinished(scenario.sim_slots);
-    }
-    let simulate_us = t_simulate.elapsed().as_micros() as u64;
-
-    let t_collect = Instant::now();
-    let messages = collect_messages(&nodes, scenario);
-    let group: Vec<MessageMetric> = messages.iter().filter(|m| m.is_group).cloned().collect();
-    let unicast: Vec<MessageMetric> = messages.iter().filter(|m| !m.is_group).cloned().collect();
-    let mut frames = FrameKindCounts::default();
-    for node in &nodes {
-        frames.add(&node.counters().sent_by_kind);
-    }
-    let churn_epochs = scenario
-        .churn
-        .epoch_metrics(&messages, scenario.reliability_threshold);
-    let collect_us = t_collect.elapsed().as_micros() as u64;
-    RunResult {
-        seed,
-        mean_degree,
-        group_metrics: RunMetrics::compute(&group, scenario.reliability_threshold),
-        unicast_metrics: RunMetrics::compute(&unicast, scenario.reliability_threshold),
-        messages,
-        collisions: engine.channel().collisions_total,
-        utilization: engine.channel().busy_slots as f64 / scenario.sim_slots as f64,
-        airtime: engine.channel().ledger().breakdown(scenario.sim_slots),
-        frames,
-        stalls,
-        churn_epochs,
-        manifest: RunManifest {
-            scenario: scenario.clone(),
-            protocol,
-            seed,
-            slot_budget: scenario.sim_slots,
-            traced: false,
-            wall_clock: PhaseTimings {
-                setup_us,
-                simulate_us,
-                collect_us,
-            },
-        },
+    RunOutput {
+        result,
+        trace: engine.take_trace(),
+        profile: engine.take_profile(),
+        nodes: spec.probes.forensic.then_some(nodes),
     }
 }
 
 /// Executes `scenario.n_runs` seeded runs in parallel (one OS thread per
 /// available core) and returns them ordered by seed.
 pub fn run_many(scenario: &Scenario, protocol: ProtocolKind) -> Vec<RunResult> {
-    run_many_seeded(scenario, protocol, 0)
+    run_many_jobs(scenario, protocol, 0, 0)
 }
 
-/// [`run_many`] with a seed offset, for experiments that must not share
-/// topologies across sweep points.
-pub fn run_many_seeded(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed_base: u64,
-) -> Vec<RunResult> {
-    run_many_jobs(scenario, protocol, seed_base, 0)
-}
-
-/// [`run_many_seeded`] with an explicit worker count (`0` = one per
-/// available core). Each run derives all randomness from its own seed,
+/// [`run_many`] with a seed offset (seeds `seed_base..seed_base +
+/// n_runs`) and an explicit worker count (`0` = one per available
+/// core). Each run derives all randomness from its own seed,
 /// and the fleet pool merges results back in seed order, so the output
 /// is identical at any worker count.
 pub fn run_many_jobs(

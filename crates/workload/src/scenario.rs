@@ -3,8 +3,11 @@
 use crate::churn::ChurnPlan;
 use crate::traffic::TrafficMix;
 use rmm_mac::MacTiming;
-use rmm_sim::{Capture, FaultPlan, GilbertElliott};
+use rmm_sim::{Capture, Engine, FaultPlan, GilbertElliott, Topology};
 use serde::{Deserialize, Serialize};
+
+/// Dedicated seed stream for the burst-error channel ("burst").
+const BURST_SEED: u64 = 0x0062_7572_7374;
 
 /// A complete simulation scenario. [`Scenario::default`] is the paper's
 /// Table 2 configuration.
@@ -133,6 +136,24 @@ impl Scenario {
     pub fn with_churn(mut self, churn: ChurnPlan) -> Self {
         self.churn = churn;
         self
+    }
+
+    /// The engine for one seeded run over `topo`: the scenario's capture
+    /// model, frame error rate, fault plan, and burst-error channel, each
+    /// on its own seed stream. The runner and the route-discovery
+    /// harness both build their engines here.
+    pub fn build_engine(&self, topo: Topology, seed: u64) -> Engine {
+        let mut engine = Engine::new(topo, self.capture, seed.wrapping_add(0x5eed));
+        if self.fer > 0.0 {
+            engine.set_fer(self.fer);
+        }
+        if !self.faults.is_empty() {
+            engine.set_faults(self.faults.clone());
+        }
+        if let Some(model) = self.burst {
+            engine.set_burst(model, seed ^ BURST_SEED);
+        }
+        engine
     }
 }
 

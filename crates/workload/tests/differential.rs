@@ -1,19 +1,23 @@
-//! Differential determinism suite for the event-horizon fast path.
+//! Differential determinism suite for the event-horizon fast path and
+//! the run probes.
 //!
-//! [`run_one`] steps the engine with `Engine::advance_to`, which
+//! [`Stepping::Fast`] steps the engine with `Engine::advance_to`, which
 //! fast-forwards through dead air using `Station::next_wakeup` hints;
-//! [`run_one_naive`] steps every slot. The two must be **bit-exact**:
-//! identical `RunResult`s (modulo wall-clock provenance), identical
-//! trace event streams, and identical `MetricsRegistry` output — for
-//! every protocol kind, across seeds, in both calm and saturated
-//! networks, and under mobility.
+//! [`Stepping::Naive`] steps every slot. Tracing and profiling are pure
+//! observers. Every input below therefore runs through one matrix,
+//! {Fast, Naive} × {plain, trace, profile, trace+profile} × {static,
+//! mobile}, and must give byte-identical `RunResult`s (modulo wall-clock
+//! provenance and the `traced` flag) and identical trace event streams
+//! within each topology — for every protocol kind, across seeds, in
+//! calm and saturated networks, under faults, churn, and position noise.
+//! The `MetricsRegistry` is a pure fold of the trace and the messages,
+//! so identical traces and results imply identical metrics.
 
 use rmm_mac::ProtocolKind;
-use rmm_sim::{FaultPlan, GilbertElliott, NodeId, Trace, TraceEvent};
+use rmm_sim::{FaultPlan, GilbertElliott, NodeId, TraceEvent};
 use rmm_workload::{
-    collect_metrics, run_mobile, run_mobile_naive, run_one, run_one_profiled,
-    run_one_profiled_traced, run_one_traced, run_one_traced_naive, ChurnPlan, MobilityConfig,
-    PhaseTimings, RunResult, Scenario,
+    run, run_one, ChurnPlan, MobilityConfig, PhaseTimings, Probes, RunOutput, RunResult, RunSpec,
+    Scenario, Stepping,
 };
 
 const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
@@ -30,38 +34,58 @@ const ALL_PROTOCOLS: [ProtocolKind; 8] = [
 ];
 
 /// Serializes a result with the (nondeterministic) wall-clock phase
-/// timings zeroed, so equality means byte-identical simulation output.
+/// timings zeroed and the `traced` flag cleared, so equality means
+/// byte-identical simulation output.
 fn canonical(mut r: RunResult) -> String {
     r.manifest.wall_clock = PhaseTimings::default();
+    r.manifest.traced = false;
     serde_json::to_string(&r).expect("RunResult serializes")
 }
 
-fn assert_bit_exact(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-    label: &str,
-) -> (RunResult, Trace) {
-    let (fast, fast_trace) = run_one_traced(scenario, protocol, seed);
-    let (naive, naive_trace) = run_one_traced_naive(scenario, protocol, seed);
-    assert_eq!(
-        fast_trace.events(),
-        naive_trace.events(),
-        "[{label}] {protocol:?} seed {seed}: trace diverged"
-    );
-    assert_eq!(
-        canonical(fast.clone()),
-        canonical(naive),
-        "[{label}] {protocol:?} seed {seed}: RunResult diverged"
-    );
-    let fast_metrics = collect_metrics(fast_trace.events(), &fast.messages);
-    let naive_metrics = collect_metrics(naive_trace.events(), &fast.messages);
-    assert_eq!(
-        serde_json::to_string(&fast_metrics).expect("registry serializes"),
-        serde_json::to_string(&naive_metrics).expect("registry serializes"),
-        "[{label}] {protocol:?} seed {seed}: metrics diverged"
-    );
-    (fast, fast_trace)
+/// Runs one `(scenario, protocol, seed)` input through the whole
+/// stepping × probes × topology matrix and checks that, per topology,
+/// every cell agrees with the first. Returns the static, fast cell with
+/// both trace and profile attached, for input-specific assertions.
+fn assert_matrix(scenario: &Scenario, protocol: ProtocolKind, seed: u64, label: &str) -> RunOutput {
+    let probe_sets = [(false, false), (true, false), (false, true), (true, true)];
+    let mut kept = None;
+    for mobility in [None, Some(MobilityConfig::default())] {
+        let mut want: Option<String> = None;
+        let mut want_trace: Option<Vec<TraceEvent>> = None;
+        for stepping in [Stepping::Fast, Stepping::Naive] {
+            for (trace, profile) in probe_sets {
+                let spec = RunSpec {
+                    stepping,
+                    probes: Probes {
+                        trace,
+                        profile,
+                        forensic: false,
+                    },
+                    mobility,
+                };
+                let at = format!("[{label}] {protocol:?} seed {seed} {spec:?}");
+                let out = run(scenario, protocol, seed, &spec);
+                assert_eq!(out.result.manifest.traced, trace, "{at}: manifest.traced");
+                assert_eq!(out.trace.is_some(), trace, "{at}: trace probe");
+                assert_eq!(out.profile.is_some(), profile, "{at}: profile probe");
+                let got = canonical(out.result.clone());
+                match &want {
+                    None => want = Some(got),
+                    Some(w) => assert_eq!(*w, got, "{at}: RunResult diverged"),
+                }
+                if let Some(t) = &out.trace {
+                    match &want_trace {
+                        None => want_trace = Some(t.events().to_vec()),
+                        Some(w) => assert_eq!(w[..], t.events()[..], "{at}: trace diverged"),
+                    }
+                }
+                if mobility.is_none() && stepping == Stepping::Fast && trace && profile {
+                    kept = Some(out);
+                }
+            }
+        }
+    }
+    kept.expect("the matrix includes the static fast traced+profiled cell")
 }
 
 /// Every protocol kind, ≥5 seeds, moderate load: the headline guarantee.
@@ -77,8 +101,8 @@ fn fast_stepping_is_bit_exact_for_all_protocols() {
     let mut traffic_seen = false;
     for protocol in ALL_PROTOCOLS {
         for seed in SEEDS {
-            let (result, _) = assert_bit_exact(&scenario, protocol, seed, "load");
-            traffic_seen |= !result.messages.is_empty();
+            let out = assert_matrix(&scenario, protocol, seed, "load");
+            traffic_seen |= !out.result.messages.is_empty();
         }
     }
     assert!(traffic_seen, "suite exercised no traffic at all");
@@ -97,7 +121,7 @@ fn fast_stepping_is_bit_exact_when_idle_dominated() {
     };
     for protocol in [ProtocolKind::Bmmm, ProtocolKind::Bsma, ProtocolKind::Bmw] {
         for seed in [11, 12] {
-            assert_bit_exact(&scenario, protocol, seed, "idle");
+            assert_matrix(&scenario, protocol, seed, "idle");
         }
     }
 }
@@ -116,7 +140,7 @@ fn fast_stepping_preserves_channel_rng_stream() {
         ..Scenario::default()
     };
     for seed in [21, 22, 23] {
-        assert_bit_exact(&scenario, ProtocolKind::Bmmm, seed, "fer");
+        assert_matrix(&scenario, ProtocolKind::Bmmm, seed, "fer");
     }
 }
 
@@ -156,7 +180,8 @@ fn fast_stepping_is_bit_exact_under_faults() {
     let mut faulted_receiver_seen = false;
     for protocol in ALL_PROTOCOLS {
         for seed in [41, 42] {
-            let (result, trace) = assert_bit_exact(&scenario, protocol, seed, "faults");
+            let out = assert_matrix(&scenario, protocol, seed, "faults");
+            let (result, trace) = (out.result, out.trace.expect("traced cell"));
             give_ups += trace
                 .events()
                 .iter()
@@ -207,7 +232,7 @@ fn fast_stepping_is_bit_exact_under_reboot_and_churn() {
     let mut epoch_traffic = 0usize;
     for protocol in ALL_PROTOCOLS {
         for seed in [51, 52] {
-            let (result, _) = assert_bit_exact(&scenario, protocol, seed, "reboot+churn");
+            let result = assert_matrix(&scenario, protocol, seed, "reboot+churn").result;
             assert!(!result.churn_epochs.is_empty(), "churn produced no epochs");
             epoch_traffic += result
                 .churn_epochs
@@ -258,9 +283,8 @@ fn armed_but_idle_chaos_plumbing_is_rng_inert() {
 }
 
 /// The engine's phase profiler is a pure observer: it draws no RNG and
-/// perturbs no dynamics, so a profiled run must be byte-identical to an
-/// unprofiled one for every protocol — while still recording laps for
-/// every engine phase it claims to cover.
+/// perturbs no dynamics (the matrix checks results and traces), while
+/// still recording laps for every engine phase it claims to cover.
 #[test]
 fn profiling_is_bit_exact_for_all_protocols() {
     let scenario = Scenario {
@@ -272,13 +296,8 @@ fn profiling_is_bit_exact_for_all_protocols() {
     };
     for protocol in ALL_PROTOCOLS {
         for seed in [1, 2] {
-            let plain = run_one(&scenario, protocol, seed);
-            let (profiled, report) = run_one_profiled(&scenario, protocol, seed);
-            assert_eq!(
-                canonical(plain),
-                canonical(profiled),
-                "[prof] {protocol:?} seed {seed}: profiling perturbed the run"
-            );
+            let out = assert_matrix(&scenario, protocol, seed, "prof");
+            let report = out.profile.expect("profiled cell");
             assert!(
                 report.total_ns > 0,
                 "[prof] {protocol:?} seed {seed}: profiler recorded nothing"
@@ -297,15 +316,6 @@ fn profiling_is_bit_exact_for_all_protocols() {
                     "[prof] {protocol:?} seed {seed}: phase {phase} never lapped"
                 );
             }
-            // Profiling a *traced* run must not disturb the event stream
-            // either (the `rmm prof` path).
-            let (_, _, prof_trace) = run_one_profiled_traced(&scenario, protocol, seed);
-            let (_, trace) = run_one_traced(&scenario, protocol, seed);
-            assert_eq!(
-                prof_trace.events(),
-                trace.events(),
-                "[prof] {protocol:?} seed {seed}: trace diverged under profiling"
-            );
         }
     }
 }
@@ -321,14 +331,38 @@ fn fast_stepping_is_bit_exact_under_mobility() {
         msg_rate: 1e-3,
         ..Scenario::default()
     };
-    let mobility = MobilityConfig::default();
     for seed in [31, 32] {
-        let fast = run_mobile(&scenario, ProtocolKind::Bmmm, mobility, seed);
-        let naive = run_mobile_naive(&scenario, ProtocolKind::Bmmm, mobility, seed);
-        assert_eq!(
-            canonical(fast),
-            canonical(naive),
-            "mobile seed {seed}: RunResult diverged"
+        assert_matrix(&scenario, ProtocolKind::Bmmm, seed, "mobile");
+    }
+}
+
+/// Beacon position noise draws from its own stream at set-up and again
+/// at every beacon refresh of a mobile run. Stepping must not disturb
+/// that stream, and a mobile LAMM run (the protocol that reads
+/// positions) must actually see the noise.
+#[test]
+fn fast_stepping_is_bit_exact_under_position_noise() {
+    let clean = Scenario {
+        n_nodes: 60,
+        sim_slots: 2_000,
+        n_runs: 1,
+        msg_rate: 1e-3,
+        ..Scenario::default()
+    };
+    let noisy = clean.clone().with_position_noise(0.05);
+    let mobile = RunSpec {
+        mobility: Some(MobilityConfig::default()),
+        ..RunSpec::default()
+    };
+    for seed in [71, 72] {
+        assert_matrix(&noisy, ProtocolKind::Lamm, seed, "noise");
+        let mut with_noise = run(&noisy, ProtocolKind::Lamm, seed, &mobile).result;
+        let without = run(&clean, ProtocolKind::Lamm, seed, &mobile).result;
+        with_noise.manifest.scenario = without.manifest.scenario.clone();
+        assert_ne!(
+            canonical(with_noise),
+            canonical(without),
+            "mobile seed {seed}: position noise had no effect"
         );
     }
 }

@@ -13,8 +13,21 @@
 //!    give-ups, and the reachable-receiver delivery metric stays honest.
 
 use rmm_mac::{MacTiming, ProtocolKind};
-use rmm_sim::{FaultPlan, GilbertElliott, NodeId, TraceEvent};
-use rmm_workload::{run_one, run_one_traced, PhaseTimings, RunResult, Scenario};
+use rmm_sim::{FaultPlan, GilbertElliott, NodeId, Trace, TraceEvent};
+use rmm_workload::{run, run_one, PhaseTimings, Probes, RunResult, RunSpec, Scenario};
+
+/// One traced run on the fast path.
+fn run_one_traced(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> (RunResult, Trace) {
+    let spec = RunSpec {
+        probes: Probes {
+            trace: true,
+            ..Probes::default()
+        },
+        ..RunSpec::default()
+    };
+    let out = run(scenario, protocol, seed, &spec);
+    (out.result, out.trace.expect("tracing was enabled"))
+}
 
 const ALL_PROTOCOLS: [ProtocolKind; 8] = [
     ProtocolKind::Ieee80211,

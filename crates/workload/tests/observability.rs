@@ -4,8 +4,23 @@
 
 use rmm_mac::ProtocolKind;
 use rmm_sim::{max_idle_gap, MsgId, Trace, TraceEvent};
-use rmm_workload::{collect_metrics, run_one, run_one_traced, Scenario, TrafficMix};
+use rmm_workload::{
+    collect_metrics, run, run_one, Probes, RunResult, RunSpec, Scenario, TrafficMix,
+};
 use std::collections::BTreeMap;
+
+/// One traced run on the fast path.
+fn run_one_traced(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> (RunResult, Trace) {
+    let spec = RunSpec {
+        probes: Probes {
+            trace: true,
+            ..Probes::default()
+        },
+        ..RunSpec::default()
+    };
+    let out = run(scenario, protocol, seed, &spec);
+    (out.result, out.trace.expect("tracing was enabled"))
+}
 
 fn traced_scenario() -> Scenario {
     Scenario {

@@ -9,7 +9,7 @@
 
 use rmm::prelude::*;
 use rmm::stats::Table;
-use rmm::workload::{run_mobile, MobilityConfig};
+use rmm::workload::{run, MobilityConfig, RunSpec};
 
 fn main() {
     let runs: u64 = std::env::args()
@@ -34,11 +34,16 @@ fn main() {
             update_period: 100,
             beacon_period: 500,
         };
+        let spec = RunSpec {
+            mobility: Some(config),
+            ..RunSpec::default()
+        };
         let mut rates = Vec::new();
         for protocol in [ProtocolKind::Bmmm, ProtocolKind::Lamm, ProtocolKind::Bmw] {
             let mean: f64 = (0..runs)
                 .map(|seed| {
-                    run_mobile(&scenario, protocol, config, seed)
+                    run(&scenario, protocol, seed, &spec)
+                        .result
                         .group_metrics
                         .delivery_rate
                 })

@@ -7,7 +7,20 @@
 use rmm::analysis::bmmm_expected_total_phases;
 use rmm::mac::{MacNode, MacTiming, Outcome, ProtocolKind};
 use rmm::prelude::*;
-use rmm::workload::{run_mobile, run_one, MobilityConfig, TrafficGen};
+use rmm::workload::{run, run_one, MobilityConfig, RunResult, RunSpec, TrafficGen};
+
+fn run_mobile(
+    s: &Scenario,
+    protocol: ProtocolKind,
+    mobility: MobilityConfig,
+    seed: u64,
+) -> RunResult {
+    let spec = RunSpec {
+        mobility: Some(mobility),
+        ..RunSpec::default()
+    };
+    run(s, protocol, seed, &spec).result
+}
 
 fn star(n: usize) -> Topology {
     let mut pts = vec![Point::new(0.5, 0.5)];

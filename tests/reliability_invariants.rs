@@ -8,7 +8,7 @@
 
 use rmm::mac::{MacNode, Outcome, ProtocolKind};
 use rmm::prelude::*;
-use rmm::workload::Scenario;
+use rmm::workload::{run, Probes, RunSpec, Scenario, Stepping};
 
 fn scenario(seed_rate: f64) -> Scenario {
     Scenario {
@@ -20,27 +20,21 @@ fn scenario(seed_rate: f64) -> Scenario {
     }
 }
 
-/// Replays a run and returns `(nodes, records)` for invariant checks —
-/// unlike `run_one`, we keep the nodes so receiver ground truth stays
+/// One naive-stepped run with the forensic probe on: the final
+/// stations, so sender records and receiver ground truth stay
 /// inspectable.
-fn replay(protocol: ProtocolKind, seed: u64) -> Vec<MacNode> {
-    let s = scenario(1e-3);
-    let topo = rmm::workload::uniform_square(s.n_nodes, s.radius, seed);
-    let mut nodes = MacNode::build_network(&topo, protocol, s.timing, seed);
-    let mut engine = Engine::new(topo.clone(), s.capture, seed.wrapping_add(0x5eed));
-    let mut traffic = rmm::workload::TrafficGen::new(s.msg_rate, s.mix, seed);
-    let mut arrivals = Vec::new();
-    for t in 0..s.sim_slots {
-        traffic.tick(engine.topology(), t, &mut arrivals);
-        for a in &arrivals {
-            nodes[a.node.index()].enqueue(a.kind, a.receivers.clone(), t);
-        }
-        engine.step(&mut nodes);
-    }
-    for n in &mut nodes {
-        n.drain_unfinished(s.sim_slots);
-    }
-    nodes
+fn final_stations(protocol: ProtocolKind, seed: u64) -> Vec<MacNode> {
+    let spec = RunSpec {
+        stepping: Stepping::Naive,
+        probes: Probes {
+            forensic: true,
+            ..Probes::default()
+        },
+        mobility: None,
+    };
+    run(&scenario(1e-3), protocol, seed, &spec)
+        .nodes
+        .expect("forensic probe was enabled")
 }
 
 #[test]
@@ -49,7 +43,7 @@ fn completed_reliable_multicasts_delivered_to_every_intended_receiver() {
     // every intended receiver, so completion ⇒ full delivery.
     for protocol in [ProtocolKind::Bmw, ProtocolKind::Bmmm] {
         for seed in 0..4 {
-            let nodes = replay(protocol, seed);
+            let nodes = final_stations(protocol, seed);
             let mut checked = 0;
             for node in &nodes {
                 for rec in node.records() {
@@ -80,7 +74,7 @@ fn lamm_theorem3_coverage_implies_delivery() {
     // closed by geometric coverage actually decoded the data frame.
     let mut covered_total = 0;
     for seed in 0..6 {
-        let nodes = replay(ProtocolKind::Lamm, seed);
+        let nodes = final_stations(ProtocolKind::Lamm, seed);
         for node in &nodes {
             for rec in node.records() {
                 if !matches!(rec.outcome, Outcome::Completed(_)) {
@@ -109,7 +103,7 @@ fn acked_receivers_really_received() {
     // An ACK (or BMW have-CTS) can only exist if the receiver holds the
     // data — across every protocol and outcome.
     for protocol in [ProtocolKind::Bmw, ProtocolKind::Bmmm, ProtocolKind::Lamm] {
-        let nodes = replay(protocol, 3);
+        let nodes = final_stations(protocol, 3);
         for node in &nodes {
             for rec in node.records() {
                 for r in &rec.acked {
@@ -131,7 +125,7 @@ fn acked_receivers_really_received() {
 #[test]
 fn assumed_covered_is_lamm_only_and_disjoint_from_acked() {
     for protocol in [ProtocolKind::Bmw, ProtocolKind::Bmmm, ProtocolKind::Bsma] {
-        let nodes = replay(protocol, 1);
+        let nodes = final_stations(protocol, 1);
         for node in &nodes {
             for rec in node.records() {
                 assert!(
@@ -141,7 +135,7 @@ fn assumed_covered_is_lamm_only_and_disjoint_from_acked() {
             }
         }
     }
-    let nodes = replay(ProtocolKind::Lamm, 1);
+    let nodes = final_stations(ProtocolKind::Lamm, 1);
     for node in &nodes {
         for rec in node.records() {
             for r in &rec.assumed_covered {
