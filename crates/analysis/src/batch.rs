@@ -141,7 +141,7 @@ mod tests {
     fn bmmm_is_sublinear_in_n() {
         // Figure 5's headline: the curve grows far slower than BMW's line.
         let p = 0.9;
-        for n in [5usize, 10, 20] {
+        for n in 5..=20 {
             let f = bmmm_expected_total_phases(n, p);
             let bmw = bmw_expected_total_phases(n, p);
             assert!(f < bmw / 2.0, "n={n}: BMMM {f} vs BMW {bmw}");
@@ -172,7 +172,7 @@ mod tests {
         // LAMM closes receivers by coverage, so with the same p it needs
         // at most as many rounds (statistically) as BMMM.
         let p = 0.9;
-        for n in [4usize, 8] {
+        for n in [4usize, 5, 8, 10, 15, 20] {
             let lamm = lamm_expected_total_phases(n, p, 0.2, 400, 7);
             let bmmm = bmmm_expected_total_phases(n, p);
             assert!(lamm <= bmmm * 1.05, "n={n}: LAMM {lamm} vs BMMM {bmmm}");

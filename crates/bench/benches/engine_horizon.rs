@@ -2,9 +2,8 @@
 //! event-horizon fast path, on three workloads (idle-dominated,
 //! busy/saturated, and the paper's Table 2 scale).
 //!
-//! Unlike the figure benches this is a custom harness: it emits
-//! `BENCH_engine.json` (median ns/slot per mode, speedup, and the
-//! slots-skipped ratio) so the perf trajectory is machine-readable.
+//! It emits `BENCH_engine.json` (median ns/slot per mode, speedup, and
+//! the slots-skipped ratio) so the perf trajectory is machine-readable.
 //! The naive numbers in the same file are the baseline the speedup is
 //! measured against; a determinism cross-check guards the comparison.
 //!
@@ -12,51 +11,13 @@
 //! `BENCH_ENGINE_OUT` overrides the output path (default
 //! `results/BENCH_engine.json` at the workspace root).
 
-use rmm::mac::{MacNode, MacTiming, ProtocolKind};
-use rmm::sim::{Engine, Slot, Topology};
+use rmm::mac::{MacNode, ProtocolKind};
+use rmm::sim::{Slot, Topology};
 use rmm::workload::traffic::Arrival;
 use rmm::workload::{uniform_square, Scenario, TrafficGen};
+use rmm_bench::{median, percentile, Workload};
 use serde::Serialize;
 use std::time::Instant;
-
-struct Spec {
-    name: &'static str,
-    scenario: Scenario,
-}
-
-fn specs(smoke: bool) -> Vec<Spec> {
-    let slots = |n: u64| if smoke { n / 10 } else { n };
-    vec![
-        Spec {
-            name: "idle_dominated",
-            scenario: Scenario {
-                n_nodes: 100,
-                sim_slots: slots(20_000),
-                msg_rate: 5e-5,
-                ..Scenario::default()
-            },
-        },
-        Spec {
-            name: "busy_network",
-            scenario: Scenario {
-                n_nodes: 100,
-                sim_slots: slots(10_000),
-                msg_rate: 5e-3,
-                ..Scenario::default()
-            },
-        },
-        Spec {
-            name: "paper_scale",
-            // The paper's Table 2 parameters (100 nodes, r = 0.2,
-            // 5·10⁻⁴ msgs/node/slot, 10 000 slots).
-            scenario: Scenario {
-                n_nodes: 100,
-                sim_slots: slots(10_000),
-                ..Scenario::default()
-            },
-        },
-    ]
-}
 
 /// The pre-drawn arrival schedule, so both modes service the identical
 /// workload without paying traffic-generation cost inside the timed
@@ -91,10 +52,15 @@ struct Timed {
     digest: Digest,
 }
 
-fn drive(spec: &Spec, topo: &Topology, plan: &[(Slot, Arrival)], seed: u64, fast: bool) -> Timed {
-    let scenario = &spec.scenario;
-    let mut nodes = MacNode::build_network(topo, ProtocolKind::Bmmm, MacTiming::default(), seed);
-    let mut engine = Engine::new(topo.clone(), scenario.capture, seed.wrapping_add(0x5eed));
+fn drive(
+    scenario: &Scenario,
+    topo: &Topology,
+    plan: &[(Slot, Arrival)],
+    seed: u64,
+    fast: bool,
+) -> Timed {
+    let mut nodes = MacNode::build_network(topo, ProtocolKind::Bmmm, scenario.timing, seed);
+    let mut engine = scenario.build_engine(topo.clone(), seed);
     let start = Instant::now();
     if fast {
         for (t, a) in plan {
@@ -136,8 +102,6 @@ fn drive(spec: &Spec, topo: &Topology, plan: &[(Slot, Arrival)], seed: u64, fast
     }
 }
 
-use rmm_bench::{median, percentile};
-
 #[derive(Debug, Serialize)]
 struct ScenarioReport {
     name: &'static str,
@@ -165,20 +129,30 @@ struct Report {
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = rmm_bench::smoke();
     let reps = if smoke { 3 } else { 7 };
     let seed = 42u64;
     let mut scenarios = Vec::new();
-    for spec in specs(smoke) {
-        let topo = uniform_square(spec.scenario.n_nodes, spec.scenario.radius, seed);
-        let plan = schedule(&spec.scenario, &topo, seed);
+    for Workload {
+        name,
+        sim_slots,
+        msg_rate,
+    } in rmm_bench::workloads(smoke)
+    {
+        let scenario = Scenario {
+            sim_slots,
+            msg_rate,
+            ..Scenario::default()
+        };
+        let topo = uniform_square(scenario.n_nodes, scenario.radius, seed);
+        let plan = schedule(&scenario, &topo, seed);
         let mut naive_ns = Vec::new();
         let mut fast_ns = Vec::new();
         let mut skipped_ratio = 0.0;
         let mut digests_match = true;
         for _ in 0..reps {
-            let naive = drive(&spec, &topo, &plan, seed, false);
-            let fast = drive(&spec, &topo, &plan, seed, true);
+            let naive = drive(&scenario, &topo, &plan, seed, false);
+            let fast = drive(&scenario, &topo, &plan, seed, true);
             digests_match &= naive.digest == fast.digest;
             naive_ns.push(naive.ns_per_slot);
             fast_ns.push(fast.ns_per_slot);
@@ -187,10 +161,10 @@ fn main() {
         let naive_med = median(&naive_ns);
         let fast_med = median(&fast_ns);
         let report = ScenarioReport {
-            name: spec.name,
-            nodes: spec.scenario.n_nodes,
-            sim_slots: spec.scenario.sim_slots,
-            msg_rate: spec.scenario.msg_rate,
+            name,
+            nodes: scenario.n_nodes,
+            sim_slots,
+            msg_rate,
             reps,
             naive_ns_per_slot: naive_med,
             fast_ns_per_slot: fast_med,
@@ -222,13 +196,7 @@ fn main() {
         host: rmm_bench::host_meta(),
         scenarios,
     };
-    let out = std::env::var("BENCH_ENGINE_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../results/BENCH_engine.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write BENCH_engine.json");
+    let out = rmm_bench::write_report("BENCH_ENGINE_OUT", "BENCH_engine.json", &json);
     eprintln!("[engine_horizon] wrote {out}");
 }

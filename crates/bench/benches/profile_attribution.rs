@@ -2,12 +2,11 @@
 //! on an idle-dominated and a busy (saturated) workload — and what the
 //! profiling itself costs.
 //!
-//! A custom harness in the `engine_horizon` mold: for each scenario it
-//! runs the fast path with profiling off and on, cross-checks that the
-//! simulated outcomes are identical (profiling is a pure observer),
-//! medians the wall-clock over reps to get the profiling overhead, and
-//! writes per-phase ns/calls/fractions plus the channel airtime
-//! breakdown to `BENCH_profile.json`.
+//! For each workload it runs the fast path with profiling off and on,
+//! cross-checks that the simulated outcomes are identical (profiling is
+//! a pure observer), medians the wall-clock over reps to get the
+//! profiling overhead, and writes per-phase ns/calls/fractions plus the
+//! channel airtime breakdown to `BENCH_profile.json`.
 //!
 //! Env knobs: `BENCH_SMOKE=1` shrinks reps/slots for CI smoke runs;
 //! `BENCH_PROFILE_OUT` overrides the output path (default
@@ -15,41 +14,9 @@
 
 use rmm::mac::ProtocolKind;
 use rmm::workload::{run_one, run_one_profiled, Scenario};
+use rmm_bench::{median, percentile, Workload};
 use serde::Serialize;
 use std::time::Instant;
-
-struct Spec {
-    name: &'static str,
-    scenario: Scenario,
-}
-
-fn specs(smoke: bool) -> Vec<Spec> {
-    let slots = |n: u64| if smoke { n / 10 } else { n };
-    vec![
-        Spec {
-            name: "idle_dominated",
-            scenario: Scenario {
-                n_nodes: 100,
-                sim_slots: slots(20_000),
-                msg_rate: 5e-5,
-                n_runs: 1,
-                ..Scenario::default()
-            },
-        },
-        Spec {
-            name: "busy_network",
-            scenario: Scenario {
-                n_nodes: 100,
-                sim_slots: slots(10_000),
-                msg_rate: 5e-3,
-                n_runs: 1,
-                ..Scenario::default()
-            },
-        },
-    ]
-}
-
-use rmm_bench::{median, percentile};
 
 #[derive(Debug, Serialize)]
 struct PhaseRow {
@@ -96,13 +63,26 @@ struct Report {
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = rmm_bench::smoke();
     let reps = if smoke { 3 } else { 7 };
     let seed = 42u64;
     let protocol = ProtocolKind::Bmmm;
     let mut scenarios = Vec::new();
-    for spec in specs(smoke) {
-        let scenario = &spec.scenario;
+    // The two extremes: paper scale sits between them.
+    for Workload {
+        name,
+        sim_slots,
+        msg_rate,
+    } in rmm_bench::workloads(smoke)
+        .into_iter()
+        .filter(|w| w.name != "paper_scale")
+    {
+        let scenario = &Scenario {
+            sim_slots,
+            msg_rate,
+            n_runs: 1,
+            ..Scenario::default()
+        };
         let mut plain_ms = Vec::new();
         let mut profiled_ms = Vec::new();
         let mut merged = rmm::stats::ProfileReport::default();
@@ -137,10 +117,10 @@ fn main() {
             })
             .collect();
         let report = ScenarioReport {
-            name: spec.name,
+            name,
             nodes: scenario.n_nodes,
-            sim_slots: scenario.sim_slots,
-            msg_rate: scenario.msg_rate,
+            sim_slots,
+            msg_rate,
             reps,
             plain_ms: plain_med,
             profiled_ms: profiled_med,
@@ -179,13 +159,7 @@ fn main() {
         host: rmm_bench::host_meta(),
         scenarios,
     };
-    let out = std::env::var("BENCH_PROFILE_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../results/BENCH_profile.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write BENCH_profile.json");
+    let out = rmm_bench::write_report("BENCH_PROFILE_OUT", "BENCH_profile.json", &json);
     eprintln!("[profile_attribution] wrote {out}");
 }

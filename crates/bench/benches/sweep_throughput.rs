@@ -1,9 +1,8 @@
 //! Sweep throughput: serial (`--jobs 1`) vs parallel (`--jobs N`)
 //! execution of the same seed sweep through the fleet pool.
 //!
-//! A custom harness in the `engine_horizon` mold: it times
-//! `run_many_jobs` at one worker and at the machine's core count,
-//! cross-checks that the two produce byte-identical results (the
+//! It times `run_many_jobs` at one worker and at the machine's core
+//! count, cross-checks that the two produce byte-identical results (the
 //! fleet's determinism contract), and writes the wall-clock numbers to
 //! `BENCH_sweep.json` so the perf trajectory is machine-readable.
 //! On a single-core box the speedup honestly reports ~1.0; the ≥2.5×
@@ -16,6 +15,7 @@
 use rmm::fleet::{hex, Fnv1a};
 use rmm::mac::ProtocolKind;
 use rmm::workload::{run_many_jobs, RunResult, Scenario};
+use rmm_bench::median;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -44,8 +44,6 @@ fn digest(results: &[RunResult]) -> String {
     hex(h.finish())
 }
 
-use rmm_bench::median;
-
 #[derive(Debug, Serialize)]
 struct Report {
     bench: &'static str,
@@ -70,7 +68,7 @@ struct Report {
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = rmm_bench::smoke();
     let reps = if smoke { 3 } else { 5 };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scenario = Scenario {
@@ -135,13 +133,7 @@ fn main() {
         report.digests_match,
         "parallel sweep diverged from the serial baseline"
     );
-    let out = std::env::var("BENCH_SWEEP_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../results/BENCH_sweep.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write BENCH_sweep.json");
+    let out = rmm_bench::write_report("BENCH_SWEEP_OUT", "BENCH_sweep.json", &json);
     eprintln!("[sweep_throughput] wrote {out}");
 }

@@ -397,17 +397,12 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                     "--resume (requires --manifest <file>)".into(),
                 ));
             }
-            // The engine asserts plan validity; reject bad plans (from
-            // --faults/--churn or a config file) with a friendly error
-            // instead of panicking mid-run.
+            // Set-up asserts what validate checks; reject a bad scenario
+            // (from flags or a config file) with a friendly error instead
+            // of panicking mid-run.
             scenario
-                .faults
-                .validate(scenario.n_nodes)
-                .map_err(|e| CliError::BadValue(format!("--faults: {e}")))?;
-            scenario
-                .churn
-                .validate(scenario.n_nodes)
-                .map_err(|e| CliError::BadValue(format!("--churn: {e}")))?;
+                .validate()
+                .map_err(|e| CliError::BadValue(format!("the scenario: {e}")))?;
             match sub.as_str() {
                 "run" => Ok(Command::Run {
                     protocol: protocol.ok_or(CliError::MissingProtocol)?,
@@ -593,13 +588,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 }
             }
             scenario
-                .faults
-                .validate(scenario.n_nodes)
-                .map_err(|e| CliError::BadValue(format!("--config faults: {e}")))?;
-            scenario
-                .churn
-                .validate(scenario.n_nodes)
-                .map_err(|e| CliError::BadValue(format!("--config churn: {e}")))?;
+                .validate()
+                .map_err(|e| CliError::BadValue(format!("the scenario: {e}")))?;
             let action = match action {
                 "run" => SubmitAction::Run {
                     protocol: protocol.ok_or(CliError::MissingProtocol)?,

@@ -57,6 +57,19 @@ fn bad_usage_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn out_of_range_scenario_exits_with_usage_error() {
+    for flags in [["--rate", "5"], ["--runs", "0"], ["--fer", "1.5"]] {
+        let out = rmm()
+            .args(["run", "--protocol", "bmmm"])
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let out = rmm().arg("help").output().expect("binary runs");
     assert!(out.status.success());

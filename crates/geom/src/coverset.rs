@@ -259,6 +259,34 @@ mod tests {
     }
 
     #[test]
+    fn greedy_stays_within_a_fifth_of_exact_on_random_sets() {
+        // LAMM's control-frame savings ride on small cover sets: over
+        // random 8-receiver sets inside one disk, greedy is near optimal.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(3);
+        let set: Vec<usize> = (0..8).collect();
+        let (mut exact, mut greedy) = (0, 0);
+        for _ in 0..200 {
+            let pts: Vec<Point> = (0..8)
+                .map(|_| loop {
+                    let (x, y): (f64, f64) = (rng.random_range(-R..=R), rng.random_range(-R..=R));
+                    if x * x + y * y <= R * R {
+                        break Point::new(0.5 + x, 0.5 + y);
+                    }
+                })
+                .collect();
+            exact += min_cover_set(&pts, &set, R).len();
+            greedy += greedy_cover_set(&pts, &set, R).len();
+        }
+        assert!(exact <= greedy, "exact {exact} > greedy {greedy}");
+        assert!(
+            greedy as f64 <= 1.2 * exact as f64,
+            "greedy {greedy} vs exact {exact}"
+        );
+    }
+
+    #[test]
     fn singleton_set_is_its_own_mcs() {
         let pts = vec![Point::new(0.2, 0.2)];
         assert_eq!(min_cover_set(&pts, &[0], R), vec![0]);

@@ -9,7 +9,8 @@
 //! exactly the uncoordinated behaviour the paper warns against. The ACKs
 //! collide; only DS capture occasionally rescues one, so the sender
 //! keeps re-serving receivers it cannot hear — measurably worse than
-//! real BMMM (see the `ablations` bench).
+//! real BMMM (`rak_train_is_what_makes_bmmm_reliable` in
+//! `tests/protocol_integration.rs`).
 
 use super::{Env, Flow};
 use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot, TraceEvent};

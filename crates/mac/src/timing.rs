@@ -45,8 +45,9 @@ pub struct MacTiming {
     /// message's arrival at the MAC.
     pub timeout: u64,
     /// Whether stations honor Duration-based yielding (the NAV). Always
-    /// on in the paper's protocols; the ablation bench turns it off to
-    /// measure what the virtual carrier sense buys.
+    /// on in the paper's protocols; `nav_does_not_hurt_bmmm` in
+    /// `tests/protocol_integration.rs` turns it off to measure what the
+    /// virtual carrier sense buys.
     pub nav_enabled: bool,
 }
 

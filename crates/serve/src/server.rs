@@ -341,16 +341,8 @@ fn serve_run(
         send_error(format!("unknown protocol {:?}", req.protocol));
         return None;
     };
-    if req.scenario.n_nodes == 0 || req.scenario.n_runs == 0 {
-        send_error("scenario needs n_nodes >= 1 and n_runs >= 1".into());
-        return None;
-    }
-    if let Err(e) = req.scenario.faults.validate(req.scenario.n_nodes) {
-        send_error(format!("invalid fault plan: {e}"));
-        return None;
-    }
-    if let Err(e) = req.scenario.churn.validate(req.scenario.n_nodes) {
-        send_error(format!("invalid churn plan: {e}"));
+    if let Err(e) = req.scenario.validate() {
+        send_error(e);
         return None;
     }
     let key = cache_key(protocol, &req.scenario, req.seed, req.trace, req.profile);

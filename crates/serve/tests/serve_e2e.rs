@@ -7,7 +7,7 @@ use rmm_serve::{
     fetch_metrics, local_lines, parse_metric, request_shutdown, soak, submit_one, Request,
     RunRequest, ServeConfig, Server, SoakSpec,
 };
-use rmm_workload::Scenario;
+use rmm_workload::{ChurnPlan, Scenario};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -164,13 +164,65 @@ fn bad_lines_and_unknown_protocols_error_without_killing_the_connection() {
 
 #[test]
 fn invalid_fault_plan_is_rejected_before_the_engine() {
-    let (server, addr) = start(ServeConfig::default());
-    let mut req = run_req(2, "bmmm", 0, false);
-    req.scenario.faults =
-        rmm_sim::FaultPlan::parse("crash:99@5").expect("parses; node 99 is out of range for n=10");
-    let lines = submit_one(&addr, &req).expect("response");
-    assert_eq!(lines.len(), 1);
-    assert!(lines[0].contains("\"Error\"") && lines[0].contains("fault plan"));
+    // One worker: a request that panicked it would leave every later
+    // run, and the drain, waiting forever.
+    let (server, addr) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let burst = |p, r| Some(rmm_sim::GilbertElliott { p, r });
+    for (scenario, why) in [
+        (
+            tiny().with_faults(
+                rmm_sim::FaultPlan::parse("crash:99@5").expect("node 99 is out of range for n=10"),
+            ),
+            "fault plan",
+        ),
+        (
+            tiny().with_churn(ChurnPlan::parse("leave:99@5").expect("out of range for n=10")),
+            "churn plan",
+        ),
+        (tiny().with_nodes(0), "n_nodes"),
+        (
+            Scenario {
+                n_runs: 0,
+                ..tiny()
+            },
+            "n_runs",
+        ),
+        (tiny().with_rate(5.0), "msg_rate"),
+        (tiny().with_rate(-0.1), "msg_rate"),
+        (tiny().with_fer(1.5), "fer"),
+        (tiny().with_fer(1.0), "fer"),
+        (
+            Scenario {
+                burst: burst(1.5, 0.5),
+                ..tiny()
+            },
+            "burst",
+        ),
+        (
+            Scenario {
+                burst: burst(0.5, -0.1),
+                ..tiny()
+            },
+            "burst",
+        ),
+    ] {
+        let req = RunRequest {
+            scenario,
+            ..run_req(2, "bmmm", 0, false)
+        };
+        let lines = submit_one(&addr, &req).expect("response");
+        assert_eq!(lines.len(), 1, "{why}");
+        assert!(
+            lines[0].contains("\"Error\"") && lines[0].contains(why),
+            "{why}: {}",
+            lines[0]
+        );
+    }
+    let req = run_req(3, "bmmm", 0, false);
+    assert_eq!(submit_one(&addr, &req).unwrap(), local_lines(&req).unwrap());
     drain(server, &addr);
 }
 

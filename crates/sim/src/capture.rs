@@ -53,7 +53,8 @@ pub enum Capture {
     #[default]
     ZorziRao,
     /// Rayleigh-fading capture with the given linear SIR threshold
-    /// (10 dB ⇒ `z0 = 10.0`). Used by the capture ablation bench.
+    /// (10 dB ⇒ `z0 = 10.0`): a physically derived alternative to the
+    /// calibrated curve.
     Rayleigh {
         /// Linear SIR threshold required for capture.
         z0: f64,

@@ -424,8 +424,10 @@ pub struct ChaosRepro {
 
 impl ChaosRepro {
     /// Re-runs the repro and verifies it produces exactly the recorded
-    /// violation kinds. Returns the fresh violations on success.
+    /// violation kinds. Returns the fresh violations on success, and an
+    /// error without running when the stored scenario is invalid.
     pub fn replay(&self) -> Result<Vec<Violation>, String> {
+        self.scenario.validate()?;
         let found = check_invariants(&self.scenario, self.protocol, self.seed);
         let kinds = kinds_of(&found);
         if kinds == self.violations {
@@ -796,6 +798,10 @@ mod tests {
         let json = serde_json::to_string(&repro).expect("repro serializes");
         let back: ChaosRepro = serde_json::from_str(&json).expect("repro parses");
         assert_eq!(back, repro);
+        // A hand-edited file with an invalid scenario is refused, not run.
+        let mut bad = repro;
+        bad.scenario.msg_rate = 5.0;
+        assert!(bad.replay().unwrap_err().contains("msg_rate"));
     }
 
     #[test]

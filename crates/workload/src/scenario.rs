@@ -138,6 +138,34 @@ impl Scenario {
         self
     }
 
+    /// Checks what set-up would otherwise assert, so a bad scenario from
+    /// a config file, a flag or a request is reported instead of
+    /// panicking mid-run: at least one node and one run, `msg_rate` in
+    /// [0, 1], `fer` in [0, 1), burst `p` and `r` in [0, 1], and fault
+    /// and churn plans that fit the network.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_nodes == 0 || self.n_runs == 0 {
+            return Err("scenario needs n_nodes >= 1 and n_runs >= 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.msg_rate) {
+            return Err(format!("msg_rate {} is outside [0, 1]", self.msg_rate));
+        }
+        if !(0.0..1.0).contains(&self.fer) {
+            return Err(format!("fer {} is outside [0, 1)", self.fer));
+        }
+        if let Some(GilbertElliott { p, r }) = self.burst {
+            if !(0.0..=1.0).contains(&p) || !(0.0..=1.0).contains(&r) {
+                return Err(format!("burst p {p} and r {r} must both be in [0, 1]"));
+            }
+        }
+        self.faults
+            .validate(self.n_nodes)
+            .map_err(|e| format!("invalid fault plan: {e}"))?;
+        self.churn
+            .validate(self.n_nodes)
+            .map_err(|e| format!("invalid churn plan: {e}"))
+    }
+
     /// The engine for one seeded run over `topo`: the scenario's capture
     /// model, frame error rate, fault plan, and burst-error channel, each
     /// on its own seed stream. The runner and the route-discovery
