@@ -58,7 +58,21 @@ fn bad_usage_exits_nonzero_with_usage() {
 
 #[test]
 fn out_of_range_scenario_exits_with_usage_error() {
-    for flags in [["--rate", "5"], ["--runs", "0"], ["--fer", "1.5"]] {
+    let dir = std::env::temp_dir().join("rmm_cli_e2e_range");
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = dir.join("zero_radius.json");
+    let zero_radius = rmm::workload::Scenario {
+        radius: 0.0,
+        ..Default::default()
+    };
+    std::fs::write(&config, serde_json::to_string(&zero_radius).unwrap()).unwrap();
+    let config = config.to_str().unwrap();
+    for flags in [
+        ["--rate", "5"],
+        ["--runs", "0"],
+        ["--fer", "1.5"],
+        ["--config", config],
+    ] {
         let out = rmm()
             .args(["run", "--protocol", "bmmm"])
             .args(flags)
@@ -67,6 +81,7 @@ fn out_of_range_scenario_exits_with_usage_error() {
         assert_eq!(out.status.code(), Some(2), "{flags:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

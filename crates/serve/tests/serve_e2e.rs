@@ -190,6 +190,20 @@ fn invalid_fault_plan_is_rejected_before_the_engine() {
             },
             "n_runs",
         ),
+        (
+            Scenario {
+                radius: 0.0,
+                ..tiny()
+            },
+            "radius",
+        ),
+        (
+            Scenario {
+                radius: -0.1,
+                ..tiny()
+            },
+            "radius",
+        ),
         (tiny().with_rate(5.0), "msg_rate"),
         (tiny().with_rate(-0.1), "msg_rate"),
         (tiny().with_fer(1.5), "fer"),

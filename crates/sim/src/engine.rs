@@ -30,6 +30,18 @@
 //! the engine records the skipped busy prefix in
 //! [`Ctx::frozen_through`] so the station replays the freeze exactly at
 //! its next dispatch.
+//!
+//! The filter never visits a station it would skip without bookkeeping,
+//! so a stepped slot costs O(N/64 + active) rather than O(N). Hinted
+//! wakeups wait in a min-heap of `(slot, station)` entries; at the top
+//! of each stepped slot the entries that fell due move into a
+//! word-packed `due` set, and the dispatcher walks only the set bits of
+//! `received | due | sensitive`, in ascending station order, so the
+//! outbox, launch order, RNG draws and trace order match naive stepping.
+//! A station outside that union has a future wakeup and is not
+//! carrier-sensitive, the one case the filter skips without touching
+//! its state. The fast-forward horizon is the heap's earliest live
+//! entry.
 
 use crate::capture::Capture;
 use crate::channel::{Channel, SlotOutcome};
@@ -41,6 +53,8 @@ use crate::trace::{EventSink, Trace, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rmm_stats::{Phase, ProfileReport, Profiler};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 #[inline]
@@ -231,6 +245,19 @@ pub struct Engine {
     /// stays exact until then because skipped slots are exactly the ones
     /// naive stepping could not have changed the station in.
     wake_at: Vec<Slot>,
+    /// Pending hinted wakeups, a min-heap of `(slot, station)`. An entry
+    /// is pushed only when a station's hint changes (and for every
+    /// station on a [`Dispatch::FullRefresh`], which clears the heap
+    /// first), so every finite future `wake_at[i]` has an entry, while
+    /// an entry whose slot no longer equals `wake_at[station]` is stale
+    /// and is dropped when it reaches the top.
+    wakeups: BinaryHeap<Reverse<(Slot, u32)>>,
+    /// Stations whose `wake_at` slot has arrived but that have not run
+    /// since (word-packed): filled from `wakeups` at the top of each
+    /// selective slot, set directly by [`Engine::wake`] and a reboot,
+    /// and cleared when the station runs. A bit can outlive its slot
+    /// only for a frozen contender skipped through a busy medium.
+    due: Vec<u64>,
     /// Scratch: per-station fault masks for the current slot
     /// (word-packed rx-blocked / tx-blocked bits).
     rx_blocked: Vec<u64>,
@@ -243,7 +270,6 @@ pub struct Engine {
     outcome: SlotOutcome,
     /// Slots fast-forwarded over by [`Engine::advance_to`] (monotone).
     slots_skipped: u64,
-    /// TEMP diagnostics: on_slot dispatches, frozen skips, idle skips.
     /// Scheduled node faults (empty by default). A pure predicate of
     /// `(node, slot)`, so the fast and naive steppers agree exactly.
     faults: FaultPlan,
@@ -281,6 +307,8 @@ impl Engine {
             frozen_through: vec![0; n],
             deadline_at: vec![Slot::MAX; n],
             wake_at: vec![0; n],
+            wakeups: BinaryHeap::new(),
+            due: vec![0; n_words],
             rx_blocked: vec![0; n_words],
             tx_blocked: vec![0; n_words],
             hints_valid: false,
@@ -455,6 +483,7 @@ impl Engine {
     /// skip the station's next `on_slot`.
     pub fn wake(&mut self, node: NodeId) {
         self.wake_at[node.index()] = self.now;
+        set_bit(&mut self.due, node.index());
         // The perturbation may have changed the station arbitrarily: a
         // stale frozen-contender flag must not keep its next `on_slot`
         // suppressed while its medium is busy. Dispatching refreshes
@@ -490,6 +519,7 @@ impl Engine {
                 // A cold reset reschedules the station arbitrarily, and
                 // the pre-reset dispatch flags no longer describe it.
                 self.wake_at[i] = now;
+                set_bit(&mut self.due, i);
                 assign_bit(&mut self.sensitive, i, stations[i].carrier_sensitive());
                 assign_bit(&mut self.freezable, i, stations[i].busy_freezes());
                 assign_bit(&mut self.gap_idle, i, false);
@@ -560,52 +590,98 @@ impl Engine {
         // the stations naive stepping could observably have changed this
         // slot: a delivered frame, a busy medium at a carrier-sensitive
         // station (unless busy is a pure freeze for it and no deadline
-        // fell due), or the station's own hinted wakeup.
-        for (i, station) in stations.iter_mut().enumerate() {
-            let node = NodeId(i as u32);
-            let busy = self.channel.busy_prev_slot(node, now, &self.topo);
-            if dispatch == Dispatch::Selective && !bit(&self.received, i) {
-                let skip = if bit(&self.sensitive, i) && busy {
-                    // A frozen contender sleeps through busy slots —
-                    // but never through a deadline, and never after an
-                    // idle-medium skip in the same gap (its backoff may
-                    // have counted down there, and a naive step would
-                    // bank that idle run before freezing).
-                    bit(&self.freezable, i) && !bit(&self.gap_idle, i) && self.deadline_at[i] > now
-                } else {
-                    self.wake_at[i] > now
-                };
-                if skip {
-                    if bit(&self.sensitive, i) && busy {
-                        self.frozen_through[i] = now;
-                    } else if bit(&self.sensitive, i) && bit(&self.freezable, i) {
-                        set_bit(&mut self.gap_idle, i);
+        // fell due), or the station's own hinted wakeup. Only stations in
+        // `received | due | sensitive` can be any of these; the rest are
+        // never visited.
+        match dispatch {
+            Dispatch::Full => {}
+            Dispatch::FullRefresh => {
+                self.wakeups.clear();
+                self.due.fill(0);
+            }
+            Dispatch::Selective => {
+                while let Some(&Reverse((slot, i))) = self.wakeups.peek() {
+                    if slot > now {
+                        break;
                     }
-                    continue;
+                    self.wakeups.pop();
+                    if self.wake_at[i as usize] == slot {
+                        set_bit(&mut self.due, i as usize);
+                    }
                 }
             }
-            let mut ctx = Ctx {
-                now,
-                node,
-                busy,
-                frozen_through: self.frozen_through[i],
-                out: &mut self.outbox,
-                sink: self.trace.as_mut().map(|t| t as &mut dyn EventSink),
-            };
-            station.on_slot(&mut ctx);
-            if dispatch != Dispatch::Full {
-                self.wake_at[i] = station.next_wakeup(now).unwrap_or(Slot::MAX);
-                self.deadline_at[i] = station
-                    .next_deadline()
-                    .map_or(Slot::MAX, |d| d.max(now + 1));
-                assign_bit(&mut self.sensitive, i, station.carrier_sensitive());
-                assign_bit(&mut self.freezable, i, station.busy_freezes());
-            }
-            self.frozen_through[i] = 0;
-            assign_bit(&mut self.gap_idle, i, false);
         }
-        for w in &mut self.received {
-            *w = 0;
+        let n = stations.len();
+        for w in 0..self.received.len() {
+            let received = std::mem::take(&mut self.received[w]);
+            let mut visit = if dispatch == Dispatch::Selective {
+                received | self.due[w] | self.sensitive[w]
+            } else {
+                // Every station the word holds.
+                u64::MAX >> (64 - (n - w * 64).min(64))
+            };
+            while visit != 0 {
+                let b = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let i = w * 64 + b;
+                let node = NodeId(i as u32);
+                let busy = self.channel.busy_prev_slot(node, now, &self.topo);
+                if dispatch == Dispatch::Selective && received & (1 << b) == 0 {
+                    let skip = if bit(&self.sensitive, i) && busy {
+                        // A frozen contender sleeps through busy slots —
+                        // but never through a deadline, and never after
+                        // an idle-medium skip in the same gap (its
+                        // backoff may have counted down there, and a
+                        // naive step would bank that idle run before
+                        // freezing).
+                        bit(&self.freezable, i)
+                            && !bit(&self.gap_idle, i)
+                            && self.deadline_at[i] > now
+                    } else {
+                        self.wake_at[i] > now
+                    };
+                    if skip {
+                        if bit(&self.sensitive, i) && busy {
+                            self.frozen_through[i] = now;
+                        } else if bit(&self.sensitive, i) && bit(&self.freezable, i) {
+                            set_bit(&mut self.gap_idle, i);
+                        }
+                        continue;
+                    }
+                }
+                let station = &mut stations[i];
+                let mut ctx = Ctx {
+                    now,
+                    node,
+                    busy,
+                    frozen_through: self.frozen_through[i],
+                    out: &mut self.outbox,
+                    sink: self.trace.as_mut().map(|t| t as &mut dyn EventSink),
+                };
+                station.on_slot(&mut ctx);
+                if dispatch != Dispatch::Full {
+                    // A hint at or before `now` means the next slot; the
+                    // clamp keeps every live hint in the future, where
+                    // it owns a heap entry.
+                    let wake = station
+                        .next_wakeup(now)
+                        .map_or(Slot::MAX, |s| s.max(now + 1));
+                    if wake != Slot::MAX
+                        && (wake != self.wake_at[i] || dispatch == Dispatch::FullRefresh)
+                    {
+                        self.wakeups.push(Reverse((wake, i as u32)));
+                    }
+                    self.wake_at[i] = wake;
+                    assign_bit(&mut self.due, i, false);
+                    self.deadline_at[i] = station
+                        .next_deadline()
+                        .map_or(Slot::MAX, |d| d.max(now + 1));
+                    assign_bit(&mut self.sensitive, i, station.carrier_sensitive());
+                    assign_bit(&mut self.freezable, i, station.busy_freezes());
+                }
+                self.frozen_through[i] = 0;
+                assign_bit(&mut self.gap_idle, i, false);
+            }
         }
         self.lap(&mut mark, Phase::FsmDispatch);
 
@@ -676,14 +752,19 @@ impl Engine {
                     horizon = horizon.min(recovery);
                 }
             }
-            // The hint array is exact (each entry was computed the last
-            // time its station ran, and skipped slots cannot change a
-            // station), so the horizon is just the array minimum.
-            for &wake in &self.wake_at {
-                horizon = horizon.min(wake.max(self.now));
-                if horizon == self.now {
+            // The hints are exact (each was computed the last time its
+            // station ran, and skipped slots cannot change a station), so
+            // the horizon is the earliest of them: now if a due station
+            // is still waiting, else the heap's earliest live entry.
+            if self.due.iter().any(|&w| w != 0) {
+                horizon = self.now;
+            }
+            while let Some(&Reverse((slot, i))) = self.wakeups.peek() {
+                if self.wake_at[i as usize] == slot {
+                    horizon = horizon.min(slot);
                     break;
                 }
+                self.wakeups.pop();
             }
             self.lap(&mut mark, Phase::HorizonScan);
             self.slots_skipped += horizon - self.now;
@@ -897,6 +978,41 @@ mod tests {
         assert_eq!(st[0].seen, vec![0, 10, 20]);
         assert_eq!(st[1].seen, vec![0, 10, 20]);
         assert_eq!(eng.slots_skipped(), 27);
+    }
+
+    #[test]
+    fn alternating_naive_and_fast_stepping_matches_a_pure_run() {
+        // Naive steps leave the wake queue stale, so each `advance_to`
+        // after them must rebuild it, down to stations whose hint did
+        // not change: both still want slot 10 across the naive steps at
+        // 3 and 4.
+        let mk = || {
+            let mut st = vec![Dozer::new(10), Dozer::new(10)];
+            st[0].plan = [10, 20, 40].map(|s| (s, rts(0, 1))).to_vec();
+            st[1].plan = vec![(30, rts(1, 0))];
+            st
+        };
+        let mut pure = Engine::new(pair_topo(), Capture::None, 1);
+        pure.enable_trace();
+        pure.run(&mut mk(), 50);
+        let mut mixed = Engine::new(pair_topo(), Capture::None, 1);
+        mixed.enable_trace();
+        let mut st = mk();
+        for (naive_steps, fast_to) in [(0, 3), (2, 15), (1, 23), (3, 35), (0, 50)] {
+            for _ in 0..naive_steps {
+                mixed.step(&mut st);
+            }
+            mixed.advance_to(&mut st, fast_to);
+        }
+        assert_eq!(mixed.now(), 50);
+        assert!(mixed.slots_skipped() > 0, "the fast path never skipped");
+        let events = |eng: &Engine| eng.trace().unwrap().events().to_vec();
+        assert_eq!(
+            events(&pure).len(),
+            8,
+            "four RTS frames, each sent and heard"
+        );
+        assert_eq!(events(&pure), events(&mixed));
     }
 
     #[test]

@@ -19,19 +19,25 @@ pub struct Topology {
 
 impl Topology {
     /// Builds a topology from station positions and a shared transmission
-    /// radius. Neighborhood is symmetric: `dist ≤ radius`, excluding self.
+    /// radius. Neighborhood is symmetric: `dist ≤ radius` by
+    /// [`Point::within`], excluding self; each neighbor list is in
+    /// ascending station order.
+    ///
+    /// Stations are bucketed into a uniform grid whose cells are at
+    /// least `radius` wide, so two stations in range always share a
+    /// cell or sit in adjacent ones, and each station is tested only
+    /// against the 3×3 block of cells around its own: O(N·degree)
+    /// rather than a scan of all N² pairs.
+    ///
+    /// # Panics
+    ///
+    /// If `radius` is not positive and finite.
     pub fn new(positions: Vec<Point>, radius: f64) -> Self {
-        assert!(radius > 0.0, "transmission radius must be positive");
-        let n = positions.len();
-        let mut neighbors = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if positions[i].within(&positions[j], radius) {
-                    neighbors[i].push(NodeId(j as u32));
-                    neighbors[j].push(NodeId(i as u32));
-                }
-            }
-        }
+        assert!(
+            radius > 0.0 && radius.is_finite(),
+            "transmission radius must be positive and finite"
+        );
+        let neighbors = grid_neighbors(&positions, radius);
         Topology {
             positions,
             radius,
@@ -89,6 +95,72 @@ impl Topology {
         }
         self.neighbors.iter().map(|n| n.len()).sum::<usize>() as f64 / self.neighbors.len() as f64
     }
+}
+
+/// Neighbor lists of `positions` at `radius`, built over a uniform grid
+/// (see [`Topology::new`]).
+fn grid_neighbors(positions: &[Point], radius: f64) -> Vec<Vec<NodeId>> {
+    let n = positions.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let (mut lo, mut hi) = (positions[0], positions[0]);
+    for p in positions {
+        lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+        hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+    }
+    // Cells a hair wider than the radius, so rounding in the cell
+    // arithmetic never puts an in-range pair two cells apart; doubled
+    // while the grid would have more cells than stations (a tiny radius
+    // over a large extent), which only makes cells coarser.
+    let mut side = radius * (1.0 + 1e-6);
+    let (cols, rows) = loop {
+        let cells = |extent: f64| ((extent / side) as usize).saturating_add(1);
+        let (cols, rows) = (cells(hi.x - lo.x), cells(hi.y - lo.y));
+        if cols.saturating_mul(rows) <= n {
+            break (cols, rows);
+        }
+        side *= 2.0;
+    };
+    let cell_of = |p: &Point| {
+        let cx = (((p.x - lo.x) / side) as usize).min(cols - 1);
+        let cy = (((p.y - lo.y) / side) as usize).min(rows - 1);
+        (cy * cols + cx) as u32
+    };
+    // Counting sort of stations by cell: cell `c` holds
+    // `members[start[c]..start[c + 1]]`. Filling from the last station
+    // down leaves each `start[c]` at its cell's first slot.
+    let cell: Vec<u32> = positions.iter().map(cell_of).collect();
+    let mut start = vec![0u32; cols * rows + 1];
+    for &c in &cell {
+        start[c as usize] += 1;
+    }
+    for c in 1..start.len() {
+        start[c] += start[c - 1];
+    }
+    let mut members = vec![0u32; n];
+    for (i, &c) in cell.iter().enumerate().rev() {
+        start[c as usize] -= 1;
+        members[start[c as usize] as usize] = i as u32;
+    }
+    let mut neighbors = vec![Vec::new(); n];
+    for (i, &home) in cell.iter().enumerate() {
+        let (cx, cy) = (home as usize % cols, home as usize / cols);
+        let list = &mut neighbors[i];
+        for y in cy.saturating_sub(1)..=(cy + 1).min(rows - 1) {
+            for x in cx.saturating_sub(1)..=(cx + 1).min(cols - 1) {
+                let c = y * cols + x;
+                for &j in &members[start[c] as usize..start[c + 1] as usize] {
+                    if j as usize != i && positions[i].within(&positions[j as usize], radius) {
+                        list.push(NodeId(j));
+                    }
+                }
+            }
+        }
+        // The block is walked cell by cell, not in station order.
+        list.sort_unstable();
+    }
+    neighbors
 }
 
 #[cfg(test)]

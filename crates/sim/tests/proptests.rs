@@ -1,5 +1,6 @@
-//! Property-based tests for the simulator substrate: the wire codec and
-//! the channel's physical invariants under random traffic.
+//! Property-based tests for the simulator substrate: the wire codec,
+//! the grid-built neighbor tables, and the channel's physical invariants
+//! under random traffic.
 
 use proptest::prelude::*;
 use rmm_geom::Point;
@@ -390,6 +391,150 @@ proptest! {
         };
         prop_assert_eq!(run(seed), run(seed));
     }
+}
+
+/// The O(N²) pair scan the grid in `Topology::new` replaced, kept as its
+/// oracle: every unordered pair tested once with `Point::within`, so
+/// each list comes out in ascending station order.
+fn pair_scan(positions: &[Point], radius: f64) -> Vec<Vec<NodeId>> {
+    let n = positions.len();
+    let mut neighbors = vec![Vec::new(); n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if positions[i].within(&positions[j], radius) {
+                neighbors[i].push(NodeId(j as u32));
+                neighbors[j].push(NodeId(i as u32));
+            }
+        }
+    }
+    neighbors
+}
+
+fn grid_lists(positions: &[Point], radius: f64) -> Vec<Vec<NodeId>> {
+    let topo = Topology::new(positions.to_vec(), radius);
+    (0..positions.len())
+        .map(|i| topo.neighbors(NodeId(i as u32)).to_vec())
+        .collect()
+}
+
+/// Random point sets for the topology oracle, in four shapes (uniform
+/// scatter, a collinear run, three locations repeated, and a lattice
+/// whose spacing is the radius, so many pairs sit at exactly the
+/// radius), then scaled over six decades and shifted so coordinates go
+/// negative. The radius runs from a thousandth of the extent to three
+/// times it.
+fn arb_layout() -> impl Strategy<Value = (Vec<Point>, f64)> {
+    (
+        0u8..4,
+        prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..80),
+        -3.0f64..3.0,
+        -1.0f64..1.0,
+        -3.0f64..0.5,
+    )
+        .prop_map(|(shape, raw, log_scale, shift, log_radius)| {
+            let scale = 10f64.powf(log_scale);
+            let radius = scale * 10f64.powf(log_radius);
+            let side = (raw.len() as f64).sqrt().ceil() as usize;
+            let points = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| match shape {
+                    0 => Point::new((x + shift) * scale, (y - shift) * scale),
+                    1 => Point::new((x + shift) * scale, shift * scale),
+                    2 => {
+                        let (x, y) = raw[i % 3.min(raw.len())];
+                        Point::new((x + shift) * scale, (y + shift) * scale)
+                    }
+                    _ => Point::new(
+                        (i % side) as f64 * radius + shift * scale,
+                        (i / side) as f64 * radius - shift * scale,
+                    ),
+                })
+                .collect();
+            (points, radius)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The grid-built neighbor tables equal the pair scan's, order
+    /// included.
+    #[test]
+    fn topology_matches_pair_scan((points, radius) in arb_layout()) {
+        prop_assert_eq!(grid_lists(&points, radius), pair_scan(&points, radius));
+    }
+}
+
+/// The edge cases of the grid, each against the pair scan.
+#[test]
+fn topology_matches_pair_scan_on_edge_cases() {
+    let p = Point::new;
+    let cases: [(&str, Vec<Point>, f64); 9] = [
+        ("single point", vec![p(0.4, 0.6)], 0.2),
+        (
+            "duplicate points",
+            vec![p(0.5, 0.5), p(0.5, 0.5), p(0.1, 0.1), p(0.5, 0.5)],
+            0.2,
+        ),
+        (
+            "a pair exactly radius apart",
+            vec![p(0.0, 0.0), p(0.2, 0.0)],
+            0.2,
+        ),
+        (
+            "exactly radius apart across a cell edge",
+            vec![p(0.3, 0.7), p(0.5, 0.7), p(0.3, 0.9), p(0.1, 0.7)],
+            0.2,
+        ),
+        (
+            // Rounding lets `within` accept this pair although cells
+            // exactly one radius wide would put it two cells apart.
+            "in range across two radius-wide cells",
+            vec![
+                p(-0.6667587653605755, 0.0),
+                p(-0.13116517583910933, 0.0),
+                p(0.404428413682357, 0.0),
+            ],
+            0.5355935895214663,
+        ),
+        (
+            "collinear points",
+            (0..40).map(|i| p(i as f64 * 0.05, 0.25)).collect(),
+            0.1,
+        ),
+        (
+            "radius larger than the extent",
+            vec![p(0.1, 0.1), p(0.2, 0.3), p(0.15, 0.2)],
+            5.0,
+        ),
+        (
+            "tiny radius over a large extent",
+            (0..50)
+                .map(|i| p(i as f64 * 1e3, (i % 7) as f64 * 1e3 + 1e-7 * i as f64))
+                .chain([p(0.0, 1e-7), p(7e3, 1e-7)])
+                .collect(),
+            1e-6,
+        ),
+        (
+            "negative coordinates",
+            vec![p(-0.5, -0.5), p(-0.35, -0.5), p(-0.2, -0.45), p(0.05, -0.5)],
+            0.2,
+        ),
+    ];
+    for (what, points, radius) in cases {
+        assert_eq!(
+            grid_lists(&points, radius),
+            pair_scan(&points, radius),
+            "{what}"
+        );
+    }
+    let pair = grid_lists(&[p(0.0, 0.0), p(0.2, 0.0)], 0.2);
+    assert_eq!(
+        pair,
+        vec![vec![NodeId(1)], vec![NodeId(0)]],
+        "range is inclusive"
+    );
 }
 
 #[test]

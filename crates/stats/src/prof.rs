@@ -39,7 +39,8 @@ pub enum Phase {
     FsmDispatch,
     /// Draining the outbox and launching new transmissions.
     TxLaunch,
-    /// Scanning station wakeup hints in the event-horizon fast path.
+    /// Finding the earliest station wakeup hint (a wake-queue peek) in
+    /// the event-horizon fast path.
     HorizonScan,
 }
 

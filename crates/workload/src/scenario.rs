@@ -140,12 +140,16 @@ impl Scenario {
 
     /// Checks what set-up would otherwise assert, so a bad scenario from
     /// a config file, a flag or a request is reported instead of
-    /// panicking mid-run: at least one node and one run, `msg_rate` in
-    /// [0, 1], `fer` in [0, 1), burst `p` and `r` in [0, 1], and fault
-    /// and churn plans that fit the network.
+    /// panicking mid-run: at least one node and one run, a positive,
+    /// finite `radius`, `msg_rate` in [0, 1], `fer` in [0, 1), burst `p`
+    /// and `r` in [0, 1], and fault and churn plans that fit the
+    /// network.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_nodes == 0 || self.n_runs == 0 {
             return Err("scenario needs n_nodes >= 1 and n_runs >= 1".into());
+        }
+        if !(self.radius > 0.0 && self.radius.is_finite()) {
+            return Err(format!("radius {} is not positive and finite", self.radius));
         }
         if !(0.0..=1.0).contains(&self.msg_rate) {
             return Err(format!("msg_rate {} is outside [0, 1]", self.msg_rate));

@@ -108,6 +108,34 @@ fn fast_stepping_is_bit_exact_for_all_protocols() {
     assert!(traffic_seen, "suite exercised no traffic at all");
 }
 
+/// Every other input has at most 60 stations, so each dispatcher
+/// bitset is a single word and a word-index slip would pass them all. A
+/// sparse 1 000-station network at `scale_10k`'s density and load spans
+/// 16 words.
+#[test]
+fn fast_stepping_is_bit_exact_past_one_bitset_word() {
+    let scenario = Scenario {
+        n_nodes: 1_000,
+        radius: 0.2 * (100.0f64 / 1_000.0).sqrt(),
+        msg_rate: 5e-5,
+        sim_slots: 1_000,
+        n_runs: 1,
+        ..Scenario::default()
+    };
+    for protocol in [ProtocolKind::Bmmm, ProtocolKind::Lamm] {
+        let trace = assert_matrix(&scenario, protocol, 81, "1k")
+            .trace
+            .expect("traced cell");
+        assert!(
+            trace
+                .events()
+                .iter()
+                .any(|e| matches!(e, TraceEvent::TxStart { node, .. } if node.index() >= 64)),
+            "{protocol:?}: no sender beyond the first bitset word"
+        );
+    }
+}
+
 /// Idle-dominated runs are where the fast path actually skips: long
 /// gaps between arrivals stress the contention/NAV replay math.
 #[test]
