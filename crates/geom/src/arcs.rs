@@ -6,14 +6,19 @@
 
 use crate::angle::{Arc, TAU};
 use crate::EPS;
+use std::iter::Peekable;
 
 /// A set of circular arcs with union queries.
 ///
-/// Arcs are stored as they arrive; queries normalize them into sorted,
-/// merged linear intervals on `[0, 2π]`.
+/// Arcs are stored as they arrive, next to their linear intervals on
+/// `[0, 2π]` kept sorted by start, so [`ArcSet::covers_full_circle`] sweeps
+/// them without sorting or allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ArcSet {
     arcs: Vec<Arc>,
+    /// [`Arc::to_linear_intervals`] of every arc, sorted by start; equal
+    /// starts keep arrival order.
+    intervals: Vec<[f64; 2]>,
 }
 
 impl ArcSet {
@@ -24,16 +29,28 @@ impl ArcSet {
 
     /// Creates a set from an iterator of arcs.
     pub fn from_arcs<I: IntoIterator<Item = Arc>>(arcs: I) -> Self {
-        ArcSet {
-            arcs: arcs.into_iter().collect(),
+        let mut set = ArcSet::new();
+        for arc in arcs {
+            set.insert(arc);
         }
+        set
     }
 
     /// Adds an arc to the set. Empty arcs are ignored.
     pub fn push(&mut self, arc: Arc) {
         if !arc.is_empty() {
-            self.arcs.push(arc);
+            self.insert(arc);
         }
+    }
+
+    fn insert(&mut self, arc: Arc) {
+        let (first, second) = arc.to_linear_intervals();
+        for iv in std::iter::once(first).chain(second) {
+            // After equal starts: the order a stable sort would give.
+            let at = self.intervals.partition_point(|x| x[0] <= iv[0]);
+            self.intervals.insert(at, iv);
+        }
+        self.arcs.push(arc);
     }
 
     /// Number of (raw, unmerged) arcs.
@@ -49,42 +66,19 @@ impl ArcSet {
     /// Removes all arcs, keeping the allocation (workhorse reuse).
     pub fn clear(&mut self) {
         self.arcs.clear();
+        self.intervals.clear();
     }
 
     /// Merged linear intervals `[lo, hi]` (sorted, disjoint) covering the
     /// same directions as the arc union, with `0 ≤ lo ≤ hi ≤ 2π`.
     pub fn merged_intervals(&self) -> Vec<[f64; 2]> {
-        let mut intervals: Vec<[f64; 2]> = Vec::with_capacity(self.arcs.len() * 2);
-        for arc in &self.arcs {
-            let (first, second) = arc.to_linear_intervals();
-            intervals.push(first);
-            if let Some(second) = second {
-                intervals.push(second);
-            }
-        }
-        intervals.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("angles are finite"));
-        let mut merged: Vec<[f64; 2]> = Vec::with_capacity(intervals.len());
-        for iv in intervals {
-            match merged.last_mut() {
-                Some(last) if iv[0] <= last[1] + EPS => {
-                    if iv[1] > last[1] {
-                        last[1] = iv[1];
-                    }
-                }
-                _ => merged.push(iv),
-            }
-        }
-        merged
+        merge(self.intervals.iter().copied()).collect()
     }
 
     /// Whether the union of the arcs covers the full circle (Theorem 4
     /// condition `⋃ [αᵢ, βᵢ] = [0, 360]`).
     pub fn covers_full_circle(&self) -> bool {
-        if self.arcs.iter().any(|a| a.is_full()) {
-            return true;
-        }
-        let merged = self.merged_intervals();
-        merged.len() == 1 && merged[0][0] <= EPS && merged[0][1] >= TAU - EPS
+        self.arcs.iter().any(|a| a.is_full()) || covers_circle(self.intervals.iter().copied())
     }
 
     /// Whether direction `a` is covered by at least one arc.
@@ -123,6 +117,41 @@ impl ArcSet {
         }
         gaps
     }
+}
+
+/// Merges linear intervals sorted by start into disjoint ones. An interval
+/// that starts within [`EPS`] of the current end extends it.
+fn merge<I: Iterator<Item = [f64; 2]>>(sorted: I) -> Merge<I> {
+    Merge {
+        sorted: sorted.peekable(),
+    }
+}
+
+/// The iterator returned by [`merge`].
+struct Merge<I: Iterator<Item = [f64; 2]>> {
+    sorted: Peekable<I>,
+}
+
+impl<I: Iterator<Item = [f64; 2]>> Iterator for Merge<I> {
+    type Item = [f64; 2];
+
+    fn next(&mut self) -> Option<[f64; 2]> {
+        let mut cur = self.sorted.next()?;
+        while let Some(iv) = self.sorted.next_if(|iv| iv[0] <= cur[1] + EPS) {
+            if iv[1] > cur[1] {
+                cur[1] = iv[1];
+            }
+        }
+        Some(cur)
+    }
+}
+
+/// The Theorem 4 test on linear intervals sorted by start: they merge into
+/// one interval from `≤ EPS` to `≥ 2π − EPS`.
+pub(crate) fn covers_circle<I: Iterator<Item = [f64; 2]>>(sorted: I) -> bool {
+    let mut merged = merge(sorted);
+    matches!(merged.next(), Some([lo, hi]) if lo <= EPS && hi >= TAU - EPS)
+        && merged.next().is_none()
 }
 
 #[cfg(test)]

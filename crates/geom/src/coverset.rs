@@ -10,8 +10,21 @@
 //! larger ones; both are correct cover sets per Definition 1 as certified
 //! by the Theorem 4 angle test, so protocol *behaviour* is preserved —
 //! only the asymptotic cost of the (off-line) computation differs.
+//!
+//! Both searches test many candidate subsets of one set. Each call first
+//! builds a cover-angle table: for every member, the linear intervals of
+//! its cover angles from the other members, sorted by start and tagged with
+//! the member they come from. A co-located member contributes the full
+//! interval `[0, 2π]`. A candidate subset is then tested with one sweep per
+//! member outside it, the same sweep [`ArcSet::covers_full_circle`] runs,
+//! over that member's intervals from the candidate's members: no
+//! trigonometry and no allocation per candidate. The verdict is the one
+//! [`is_cover_set`] gives. Skipping the intervals of non-members leaves a
+//! list sorted once still sorted, the order of equal starts does not
+//! change the merged union, and a full interval passes the sweep as a
+//! `Full` cover angle passes `is_cover_set`.
 
-use crate::arcs::ArcSet;
+use crate::arcs::{covers_circle, ArcSet};
 use crate::cover::{cover_angle, CoverAngle};
 use crate::point::Point;
 
@@ -43,12 +56,71 @@ pub fn is_cover_set(points: &[Point], set: &[usize], subset: &[usize], r: f64) -
     true
 }
 
+/// The cover-angle table of one set (see the module docs): member `i`'s
+/// intervals are `spans[bounds[i]..bounds[i + 1]]`, sorted by start.
+struct CoverTable {
+    spans: Vec<Span>,
+    bounds: Vec<usize>,
+}
+
+/// One linear interval of a cover angle, and the member (a position in
+/// the set) whose disk it comes from.
+#[derive(Clone, Copy)]
+struct Span {
+    interval: [f64; 2],
+    from: usize,
+}
+
+impl CoverTable {
+    /// One [`cover_angle`] per ordered pair of members. Empty arcs are
+    /// dropped, as [`ArcSet::push`] drops them.
+    fn new(points: &[Point], set: &[usize], r: f64) -> Self {
+        let n = set.len();
+        // At most two intervals per ordered pair, so `spans` never grows.
+        let mut spans = Vec::with_capacity(2 * n * n.saturating_sub(1));
+        let mut bounds = Vec::with_capacity(n + 1);
+        bounds.push(0);
+        for (i, &p) in set.iter().enumerate() {
+            let first = spans.len();
+            for (from, &q) in set.iter().enumerate() {
+                if from == i {
+                    continue;
+                }
+                let arc = cover_angle(&points[p], &points[q], r).arc();
+                let Some(arc) = arc.filter(|a| !a.is_empty()) else {
+                    continue;
+                };
+                let (head, tail) = arc.to_linear_intervals();
+                spans.extend(
+                    std::iter::once(head)
+                        .chain(tail)
+                        .map(|interval| Span { interval, from }),
+                );
+            }
+            spans[first..].sort_by(|a, b| {
+                a.interval[0]
+                    .partial_cmp(&b.interval[0])
+                    .expect("angles are finite")
+            });
+            bounds.push(spans.len());
+        }
+        CoverTable { spans, bounds }
+    }
+
+    /// Whether the members for which `kept` holds cover member `i`'s disk.
+    fn covered(&self, i: usize, kept: impl Fn(usize) -> bool) -> bool {
+        let spans = &self.spans[self.bounds[i]..self.bounds[i + 1]];
+        covers_circle(spans.iter().filter(|s| kept(s.from)).map(|s| s.interval))
+    }
+}
+
 /// Greedy minimal cover set: start from `set` and repeatedly discard a
 /// node as long as the surviving subset is still an angle-certified cover
 /// set of the *original* set. The result is a cover set of `set` that is
 /// *minimal* (no single node can be removed), though not always
-/// *minimum*. Worst case `O(n³ log n)`; `n` here is a neighbor count, so
-/// small.
+/// *minimum*. With the cover-angle table the cost is `O(n² log n)` to
+/// build it plus `O(n³)` for the `n` removal tests, with no trigonometry
+/// after the table; `n` here is a neighbor count, so small.
 ///
 /// The full re-certification per removal matters: checking only the
 /// removal candidate against the survivors would admit sequences where an
@@ -60,47 +132,72 @@ pub fn is_cover_set(points: &[Point], set: &[usize], subset: &[usize], r: f64) -
 ///
 /// Removal order: nodes are tried nearest-to-centroid first, since interior
 /// nodes are the ones most likely to be redundant, which empirically gets
-/// close to the minimum.
+/// close to the minimum. A removal drops every copy of a repeated index.
 pub fn greedy_cover_set(points: &[Point], set: &[usize], r: f64) -> Vec<usize> {
-    let mut current: Vec<usize> = set.to_vec();
-    if current.len() <= 1 {
-        return current;
+    let n = set.len();
+    if n <= 1 {
+        return set.to_vec();
     }
     // Centroid of the set.
     let (mut cx, mut cy) = (0.0, 0.0);
-    for &i in &current {
+    for &i in set {
         cx += points[i].x;
         cy += points[i].y;
     }
-    let centroid = Point::new(cx / current.len() as f64, cy / current.len() as f64);
-    let mut order: Vec<usize> = current.clone();
+    let centroid = Point::new(cx / n as f64, cy / n as f64);
+    let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
-        points[a]
+        points[set[a]]
             .dist_sq(&centroid)
-            .partial_cmp(&points[b].dist_sq(&centroid))
+            .partial_cmp(&points[set[b]].dist_sq(&centroid))
             .expect("coordinates are finite")
-            .then(a.cmp(&b))
+            .then(set[a].cmp(&set[b]))
     });
 
-    let mut trial: Vec<usize> = Vec::with_capacity(current.len());
+    let table = CoverTable::new(points, set, r);
+    let mut kept = vec![true; n];
     for cand in order {
-        if current.len() == 1 {
+        if kept.iter().filter(|&&k| k).count() == 1 {
             break;
         }
-        trial.clear();
-        trial.extend(current.iter().copied().filter(|&x| x != cand));
-        if is_cover_set(points, set, &trial, r) {
-            std::mem::swap(&mut current, &mut trial);
+        if !kept[cand] {
+            continue; // a copy of an index already removed
+        }
+        let idx = set[cand];
+        let mark = |kept: &mut [bool], keep: bool| {
+            for (k, &i) in kept.iter_mut().zip(set) {
+                if i == idx {
+                    *k = keep;
+                }
+            }
+        };
+        mark(&mut kept, false);
+        // The candidate itself is the likeliest to be left uncovered.
+        let covered = |p: usize| kept[p] || table.covered(p, |q| kept[q]);
+        if !(covered(cand) && (0..n).all(covered)) {
+            mark(&mut kept, true);
         }
     }
-    current
+    set.iter()
+        .zip(&kept)
+        .filter(|&(_, &k)| k)
+        .map(|(&i, _)| i)
+        .collect()
 }
 
 /// Minimum cover set of `set` (the paper's `MCS(S)`).
 ///
 /// For `|set| ≤ EXACT_MCS_LIMIT` this searches subsets in increasing size
 /// order and returns a true minimum (under the angle-based coverage test);
-/// beyond that it falls back to [`greedy_cover_set`].
+/// beyond that it falls back to [`greedy_cover_set`]. Subsets of one size
+/// are tried in ascending bitmask order (bit `i` is `set[i]`), and the
+/// first cover set found is returned in `set` order.
+///
+/// A member that all the other members together do not cover is *forced*:
+/// coverage only grows as members are added, so every cover set contains
+/// it, and the search skips subsets that lack one. Each subset is tested
+/// against the cover-angle table, so the search costs `O(n² log n)` for
+/// the table plus `O(n²)` per subset tried, at most `2ⁿ` of them.
 ///
 /// ```
 /// use rmm_geom::{min_cover_set, Point};
@@ -117,22 +214,31 @@ pub fn min_cover_set(points: &[Point], set: &[usize], r: f64) -> Vec<usize> {
     if n > EXACT_MCS_LIMIT {
         return greedy_cover_set(points, set, r);
     }
-    // Subsets by increasing popcount; first hit is a minimum cover set.
-    let mut masks: Vec<u32> = (1u32..(1u32 << n)).collect();
-    masks.sort_by_key(|m| m.count_ones());
-    let mut subset: Vec<usize> = Vec::with_capacity(n);
-    for mask in masks {
-        subset.clear();
-        for (bit, &idx) in set.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                subset.push(idx);
+    let table = CoverTable::new(points, set, r);
+    let all = (1u32 << n) - 1;
+    let has = |mask: u32, i: usize| mask >> i & 1 != 0;
+    let forced = (0..n)
+        .filter(|&i| !table.covered(i, |_| true))
+        .fold(0u32, |mask, i| mask | 1 << i);
+    let covers = |mask| (0..n).all(|i| has(mask, i) || table.covered(i, |j| has(mask, j)));
+    // Smallest subsets first, so the first hit is a minimum cover set.
+    for size in forced.count_ones().max(1)..=n as u32 {
+        let mut mask = (1u32 << size) - 1;
+        while mask <= all {
+            if mask & forced == forced && covers(mask) {
+                return (0..n).filter(|&i| has(mask, i)).map(|i| set[i]).collect();
             }
-        }
-        if is_cover_set(points, set, &subset, r) {
-            return subset.clone();
+            mask = next_same_popcount(mask);
         }
     }
-    set.to_vec() // unreachable: the full set always covers itself
+    unreachable!("the full set covers itself")
+}
+
+/// The next larger integer with as many set bits as `x` (Gosper's hack).
+fn next_same_popcount(x: u32) -> u32 {
+    let low = x & x.wrapping_neg();
+    let ripple = x + low;
+    ripple | (((x ^ ripple) >> 2) / low)
 }
 
 /// The paper's `UPDATE(S, S_ACK)`: the nodes of `set` whose disk is *not*

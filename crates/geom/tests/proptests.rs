@@ -1,12 +1,233 @@
-//! Property-based tests for the geometry substrate.
+//! Property-based tests for the geometry substrate, and the oracles that
+//! pin the cover-set searches and the arc sweep to their reference
+//! definitions.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use rmm_geom::coverset::EXACT_MCS_LIMIT;
 use rmm_geom::{
     cover_angle, covers_disk, greedy_cover_set, is_cover_set, min_cover_set, update_uncovered, Arc,
-    ArcSet, CoverAngle, Point, TAU,
+    ArcSet, CoverAngle, Point, EPS, TAU,
 };
 
 const R: f64 = 0.2;
+
+/// Reference `MCS(S)`: every non-empty subset mask, stably sorted by
+/// popcount, each tested with the public [`is_cover_set`]; greedy above
+/// [`EXACT_MCS_LIMIT`].
+fn reference_min_cover_set(points: &[Point], set: &[usize], r: f64) -> Vec<usize> {
+    let n = set.len();
+    if n <= 1 {
+        return set.to_vec();
+    }
+    if n > EXACT_MCS_LIMIT {
+        return reference_greedy_cover_set(points, set, r);
+    }
+    let mut masks: Vec<u32> = (1u32..(1u32 << n)).collect();
+    masks.sort_by_key(|m| m.count_ones());
+    for mask in masks {
+        let subset: Vec<usize> = set
+            .iter()
+            .enumerate()
+            .filter(|&(bit, _)| mask & (1 << bit) != 0)
+            .map(|(_, &idx)| idx)
+            .collect();
+        if is_cover_set(points, set, &subset, r) {
+            return subset;
+        }
+    }
+    unreachable!("the full set covers itself")
+}
+
+/// Reference greedy cover set: nearest-to-centroid removal order, every
+/// removal (of all copies of an index) re-certified with the public
+/// [`is_cover_set`].
+fn reference_greedy_cover_set(points: &[Point], set: &[usize], r: f64) -> Vec<usize> {
+    let mut current: Vec<usize> = set.to_vec();
+    if current.len() <= 1 {
+        return current;
+    }
+    let (mut cx, mut cy) = (0.0, 0.0);
+    for &i in &current {
+        cx += points[i].x;
+        cy += points[i].y;
+    }
+    let centroid = Point::new(cx / current.len() as f64, cy / current.len() as f64);
+    let mut order: Vec<usize> = current.clone();
+    order.sort_by(|&a, &b| {
+        points[a]
+            .dist_sq(&centroid)
+            .partial_cmp(&points[b].dist_sq(&centroid))
+            .unwrap()
+            .then(a.cmp(&b))
+    });
+    for cand in order {
+        if current.len() == 1 {
+            break;
+        }
+        let trial: Vec<usize> = current.iter().copied().filter(|&x| x != cand).collect();
+        if is_cover_set(points, set, &trial, r) {
+            current = trial;
+        }
+    }
+    current
+}
+
+/// Reference Theorem 4 test on raw arcs: split each with
+/// `to_linear_intervals`, sort by start, merge with `EPS`.
+fn reference_merge(arcs: &[Arc]) -> Vec<[f64; 2]> {
+    let mut intervals: Vec<[f64; 2]> = Vec::new();
+    for arc in arcs {
+        let (first, second) = arc.to_linear_intervals();
+        intervals.push(first);
+        intervals.extend(second);
+    }
+    intervals.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap());
+    let mut merged: Vec<[f64; 2]> = Vec::new();
+    for iv in intervals {
+        match merged.last_mut() {
+            Some(last) if iv[0] <= last[1] + EPS => {
+                if iv[1] > last[1] {
+                    last[1] = iv[1];
+                }
+            }
+            _ => merged.push(iv),
+        }
+    }
+    merged
+}
+
+fn reference_covers_full_circle(arcs: &[Arc]) -> bool {
+    if arcs.iter().any(|a| a.is_full()) {
+        return true;
+    }
+    let merged = reference_merge(arcs);
+    merged.len() == 1 && merged[0][0] <= EPS && merged[0][1] >= TAU - EPS
+}
+
+/// Both searches against their references, element for element.
+fn check_against_oracle(points: &[Point], set: &[usize]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        min_cover_set(points, set, R),
+        reference_min_cover_set(points, set, R),
+        "min_cover_set of {:?} at {:?}",
+        set,
+        points
+    );
+    prop_assert_eq!(
+        greedy_cover_set(points, set, R),
+        reference_greedy_cover_set(points, set, R),
+        "greedy_cover_set of {:?} at {:?}",
+        set,
+        points
+    );
+    Ok(())
+}
+
+/// A point uniform in the disk of radius `R` around `(0.5, 0.5)`: where a
+/// LAMM sender's receivers lie.
+fn disk_point() -> impl Strategy<Value = Point> {
+    (0.0f64..1.0, 0.0f64..TAU).prop_map(|(u, a)| {
+        let d = R * u.sqrt();
+        Point::new(0.5 + d * a.cos(), 0.5 + d * a.sin())
+    })
+}
+
+/// Sets where coincidence, tangency or `EPS` decide the verdicts.
+fn degenerate_set() -> impl Strategy<Value = (Vec<Point>, Vec<usize>)> {
+    let all = |pts: Vec<Point>| {
+        let set = (0..pts.len()).collect();
+        (pts, set)
+    };
+    prop_oneof![
+        // Duplicated points: every other point repeats its predecessor.
+        prop::collection::vec(disk_point(), 1..=6).prop_map(move |pts| {
+            all(pts
+                .iter()
+                .flat_map(|&p| [p, p])
+                .take(pts.len() * 3 / 2 + 1)
+                .collect())
+        }),
+        // Each point exactly R from the one before.
+        (disk_point(), prop::collection::vec(0.0f64..TAU, 1..=9)).prop_map(move |(p, dirs)| {
+            let mut pts = vec![p];
+            for a in dirs {
+                let last = pts[pts.len() - 1];
+                pts.push(last.offset(R * a.cos(), R * a.sin()));
+            }
+            all(pts)
+        }),
+        // Points of an R/2 lattice, where arcs abut exactly.
+        (0u32..1 << 16).prop_map(move |keep| {
+            let pts: Vec<Point> = (0..16)
+                .filter(|&k| keep >> k & 1 != 0)
+                .map(|k| {
+                    Point::new(
+                        0.3 + 0.5 * R * (k % 4) as f64,
+                        0.3 + 0.5 * R * (k / 4) as f64,
+                    )
+                })
+                .collect();
+            all(if pts.is_empty() {
+                vec![Point::new(0.5, 0.5)]
+            } else {
+                pts
+            })
+        }),
+        // A repeated index in `set`.
+        (prop::collection::vec(disk_point(), 2..=9), 0usize..9).prop_map(|(pts, k)| {
+            let mut set: Vec<usize> = (0..pts.len()).collect();
+            set.insert(k % pts.len(), (k + 1) % pts.len());
+            (pts, set)
+        }),
+        // `set` in descending order.
+        prop::collection::vec(disk_point(), 1..=16).prop_map(|pts| {
+            let set = (0..pts.len()).rev().collect();
+            (pts, set)
+        }),
+    ]
+}
+
+/// Chains of arcs around the circle whose ends abut at `gap` (negative
+/// gaps overlap). A chain starts anywhere or within a few `EPS` of 0, and
+/// some joints hold a sliver arc at most 2·`EPS` wide, which `push` drops
+/// when it is empty.
+fn arc_chain() -> impl Strategy<Value = Vec<Arc>> {
+    (
+        prop_oneof![0.0f64..TAU, (0.0f64..4.0).prop_map(|k| k * EPS)],
+        prop::collection::vec((0.1f64..1.0, 0.0f64..2.0 * EPS, prop::bool::ANY), 1..=8),
+        prop_oneof![
+            Just(-EPS),
+            Just(0.0),
+            Just(0.5 * EPS),
+            Just(EPS),
+            Just(2.0 * EPS)
+        ],
+    )
+        .prop_map(|(start, links, gap)| {
+            let total: f64 = links.iter().map(|link| link.0).sum();
+            let free = TAU - gap * links.len() as f64;
+            let mut at = start;
+            let mut arcs = Vec::new();
+            for (weight, sliver, with_sliver) in links {
+                let extent = free * weight / total;
+                arcs.push(Arc::new(at, extent));
+                at += extent;
+                if with_sliver {
+                    arcs.push(Arc::new(at, sliver));
+                }
+                at += gap;
+            }
+            arcs
+        })
+}
+
+/// Arcs that cross the 0 direction.
+fn wrapping_arc() -> impl Strategy<Value = Arc> {
+    (0.0f64..1.0, 0.0f64..1.0).prop_map(|(before, after)| Arc::new(TAU - before, before + after))
+}
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (0.0f64..1.0, 0.0f64..1.0).prop_map(|(x, y)| Point::new(x, y))
@@ -96,7 +317,7 @@ proptest! {
     /// Both cover-set constructions always return genuine cover sets, and
     /// the exact search is never larger than greedy on small instances.
     #[test]
-    fn cover_sets_are_cover_sets(pts in prop::collection::vec(arb_point(), 1..10)) {
+    fn cover_sets_are_cover_sets(pts in prop::collection::vec(arb_point(), 1..=10)) {
         let set: Vec<usize> = (0..pts.len()).collect();
         let exact = min_cover_set(&pts, &set, R);
         let greedy = greedy_cover_set(&pts, &set, R);
@@ -139,5 +360,90 @@ proptest! {
         let mcs = min_cover_set(&pts, &set, R);
         let rem = update_uncovered(&pts, &set, &mcs, R);
         prop_assert!(rem.is_empty(), "MCS acked but UPDATE left {rem:?}");
+    }
+
+    /// Dense sets, sizes on both sides of `EXACT_MCS_LIMIT`: both searches
+    /// return exactly the reference sets, order included.
+    #[test]
+    fn cover_sets_match_the_oracle_on_dense_sets(pts in prop::collection::vec(disk_point(), 1..=16)) {
+        let set: Vec<usize> = (0..pts.len()).collect();
+        check_against_oracle(&pts, &set)?;
+    }
+
+    /// Duplicated points, tangent disks, an R/2 lattice, a repeated index
+    /// and a descending `set`.
+    #[test]
+    fn cover_sets_match_the_oracle_on_degenerate_sets((pts, set) in degenerate_set()) {
+        check_against_oracle(&pts, &set)?;
+    }
+}
+
+proptest! {
+    // Each case is a handful of arcs; the `EPS` edges need many draws.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `covers_full_circle` and `merged_intervals` agree with the
+    /// reference sort-and-merge on random arcs, arcs that cross 0 and arc
+    /// chains whose ends abut within a few `EPS`.
+    #[test]
+    fn arc_sweep_matches_the_oracle(
+        random in prop::collection::vec(arb_arc(), 0..8),
+        wrapping in prop::collection::vec(wrapping_arc(), 0..3),
+        chain in arc_chain(),
+        pick in 0usize..4,
+    ) {
+        let arcs: Vec<Arc> = match pick {
+            0 => random,
+            1 => random.into_iter().chain(wrapping).collect(),
+            2 => chain,
+            _ => chain.into_iter().chain(wrapping).collect(),
+        };
+        let set = ArcSet::from_arcs(arcs.iter().copied());
+        prop_assert_eq!(set.covers_full_circle(), reference_covers_full_circle(&arcs), "{:?}", arcs);
+        prop_assert_eq!(set.merged_intervals(), reference_merge(&arcs));
+        let kept: Vec<Arc> = arcs.iter().copied().filter(|a| !a.is_empty()).collect();
+        let mut pushed = ArcSet::new();
+        for &arc in &arcs {
+            pushed.push(arc);
+        }
+        prop_assert_eq!(pushed.covers_full_circle(), reference_covers_full_circle(&kept));
+    }
+}
+
+/// One set of more than 64 members takes the greedy path of both searches.
+#[test]
+fn cover_sets_match_the_oracle_past_64_members() {
+    let mut rng = SmallRng::seed_from_u64(64);
+    let pts: Vec<Point> = (0..72)
+        .map(|_| {
+            let (u, a): (f64, f64) = (rng.random(), rng.random_range(0.0..TAU));
+            Point::new(0.5 + R * u.sqrt() * a.cos(), 0.5 + R * u.sqrt() * a.sin())
+        })
+        .collect();
+    let set: Vec<usize> = (0..pts.len()).collect();
+    check_against_oracle(&pts, &set).unwrap();
+}
+
+/// Every node's full neighbor set and one random subset of it, on 100-node
+/// topologies at the paper's radius.
+#[test]
+fn cover_sets_match_the_oracle_on_neighbor_sets() {
+    for seed in 1..=3 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pts: Vec<Point> = (0..100)
+            .map(|_| Point::new(rng.random(), rng.random()))
+            .collect();
+        for (i, p) in pts.iter().enumerate() {
+            let neighbors: Vec<usize> = (0..pts.len())
+                .filter(|&j| j != i && p.within(&pts[j], R))
+                .collect();
+            let subset: Vec<usize> = neighbors
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(0.5))
+                .collect();
+            check_against_oracle(&pts, &neighbors).unwrap();
+            check_against_oracle(&pts, &subset).unwrap();
+        }
     }
 }
