@@ -10,10 +10,11 @@
 //!    and results back live, interleaved per connection.
 //! 2. **Memoizing** — completed cells land in a content-addressed
 //!    cache ([`CacheStore`]) keyed by a hash of exactly the inputs that
-//!    determine the output. A repeated sweep is answered entirely from
-//!    cache, byte-for-byte identical, with zero engine invocations —
-//!    and the cache file survives restarts because it *is* a crash-safe
-//!    fleet manifest.
+//!    determine the output, as their response stream rendered once
+//!    ([`Rendered`]). A repeated sweep is answered entirely from cache,
+//!    byte-for-byte identical, with zero engine invocations — and the
+//!    cache file survives restarts because it *is* a crash-safe fleet
+//!    manifest.
 //!
 //! The [`client`] module carries the other half of the contract: a
 //! serial in-process oracle plus a concurrent soak driver that
@@ -34,7 +35,7 @@ pub use client::{
     SoakReport, SoakSpec,
 };
 pub use proto::{
-    canonical_result, compute_cell, encode, run_response_lines, Request, Response, RunRequest,
-    ServeCell, PROTO_VERSION,
+    canonical_result, compute_cell, encode, run_response_lines, Rendered, Request, Response,
+    RunRequest, ServeCell, PROTO_VERSION,
 };
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_REQUEST_LINE};

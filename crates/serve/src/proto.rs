@@ -17,6 +17,11 @@
 //! [`canonical_result`]), which is what makes a served response
 //! byte-identical to a local serial run of the same cell — and lets the
 //! cache replay it verbatim.
+//!
+//! Every response line starts `{"<Variant>":{"id":`, and a `Result`
+//! line goes on with `,"cached":`. [`Rendered`] relies on exactly that:
+//! a cell is rendered once, and a cache hit puts its own id and cached
+//! flag in place instead of rendering again.
 
 use rmm_mac::ProtocolKind;
 use rmm_sim::TraceEvent;
@@ -125,9 +130,9 @@ pub enum Response {
 }
 
 /// Everything one completed cell produced: the canonical result plus
-/// the optional trace/profile attachments. This is the unit the cache
-/// stores, keyed by content hash.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// the optional trace/profile attachments. The cache stores its
+/// response stream, rendered once ([`Rendered`]).
+#[derive(Debug, Clone)]
 pub struct ServeCell {
     /// Canonical run result.
     pub result: RunResult,
@@ -203,6 +208,82 @@ pub fn run_response_lines(id: u64, cell: &ServeCell, cached: bool) -> Vec<String
 /// Serializes one response line.
 pub fn encode(response: &Response) -> String {
     serde_json::to_string(response).expect("response serializes")
+}
+
+/// Follows the variant name on every response line.
+const ID_FIELD: &str = "\":{\"id\":";
+/// Follows the id on a fresh `Result` line, and its cached twin.
+const FRESH: &str = ",\"cached\":false";
+const CACHED: &str = ",\"cached\":true";
+
+/// A cell's response stream rendered once: the lines of
+/// [`run_response_lines`] for the placeholder id 0 and `"cached":false`,
+/// each ending in `\n`, plus where each line's id sits. The cache stores
+/// the text; [`Rendered::write`] answers any request from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rendered {
+    text: String,
+    /// Byte offset of each line's placeholder id.
+    ids: Vec<usize>,
+}
+
+impl Rendered {
+    /// Renders `cell`'s response stream.
+    pub fn render(cell: &ServeCell) -> Rendered {
+        let mut text = String::new();
+        for line in run_response_lines(0, cell, false) {
+            text.push_str(&line);
+            text.push('\n');
+        }
+        Rendered::parse(text).expect("response lines have the splice shape")
+    }
+
+    /// Takes `text` back as a rendered stream: every line must read
+    /// `{"<Variant>":{"id":0` followed by `,` or `}`, and the last must
+    /// be a fresh `Result`. `None` if it does not.
+    pub fn parse(text: String) -> Option<Rendered> {
+        let mut ids = Vec::new();
+        let mut start = 0;
+        for line in text.split_inclusive('\n') {
+            let name = line.strip_prefix("{\"")?.split('"').next()?;
+            let at = 2 + name.len() + ID_FIELD.len();
+            let rest = line[2 + name.len()..].strip_prefix(ID_FIELD)?;
+            if !(rest.starts_with("0,") || rest.starts_with("0}")) || !line.ends_with('\n') {
+                return None;
+            }
+            ids.push(start + at);
+            start += line.len();
+        }
+        let last = *ids.last()?;
+        let result_line = text[..last].rsplit('\n').next()? == "{\"Result\":{\"id\":";
+        (result_line && text[last + 1..].starts_with(FRESH)).then_some(Rendered { text, ids })
+    }
+
+    /// The stored text: the stream for id 0, not cached.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The stream as the answer to request `id`: every line's id put in
+    /// place and, when `cached`, the `Result` line's flag flipped. Equal
+    /// to [`run_response_lines`]`(id, cell, cached)`, newline-terminated.
+    pub fn write(&self, id: u64, cached: bool) -> Vec<u8> {
+        let id = id.to_string();
+        let text = self.text.as_bytes();
+        let mut out = Vec::with_capacity(text.len() + self.ids.len() * id.len() + 1);
+        let mut from = 0;
+        for &at in &self.ids {
+            out.extend_from_slice(&text[from..at]);
+            out.extend_from_slice(id.as_bytes());
+            from = at + 1;
+        }
+        if cached {
+            out.extend_from_slice(CACHED.as_bytes());
+            from += FRESH.len();
+        }
+        out.extend_from_slice(&text[from..]);
+        out
+    }
 }
 
 #[cfg(test)]

@@ -5,36 +5,58 @@
 //! Connection life cycle: the accept loop admits up to
 //! [`ServeConfig::max_conns`] concurrent connections (excess
 //! connections get one `Error` line and are closed — load shedding, not
-//! queueing). Each connection runs a reader thread (parses request
-//! lines, serves cache hits inline, submits misses to the pool) and a
-//! writer thread (serializes all response lines for the connection, so
+//! queueing). Accepted sockets set `TCP_NODELAY`, so a response leaves
+//! when it is written instead of waiting out the client's delayed ACK.
+//! Each connection runs a reader thread (reads request lines, serves
+//! cache hits inline, submits misses to the pool) and a writer thread
+//! (writes every response of the connection, each as one buffer, so
 //! pool workers never block on a slow client socket longer than the
 //! channel hand-off). When a client disconnects, its still-queued jobs
 //! are cancelled — work nobody will read is never run.
 //!
-//! Backpressure is layered: the pool's bounded queue blocks readers
-//! once `queue_cap` jobs are waiting, which stops them draining their
-//! sockets, which fills the kernel TCP window — the client's writes
-//! stall. No unbounded buffer anywhere.
+//! What is bounded:
+//! - a request line, at [`MAX_REQUEST_LINE`] bytes. A longer line gets
+//!   one `Error` and the connection closes, since its framing is lost.
+//!   A line that is not UTF-8 gets one `Error`, and the connection
+//!   carries on;
+//! - the engine queue: the pool blocks readers once `queue_cap` jobs
+//!   are waiting, which stops them draining their sockets, which fills
+//!   the kernel TCP window — the client's writes stall;
+//! - the connections, at `max_conns`.
+//!
+//! What is not: each connection's output queue is an unbounded channel.
+//! A client that stops reading has every response buffered for it,
+//! about 6 MB per traced Table 2 cell.
 //!
 //! Graceful drain (`Shutdown` request or [`Server::begin_shutdown`]):
 //! stop accepting, refuse new engine work, finish in-flight jobs,
 //! flush the cache manifest, join every thread.
 
 use crate::cache::{cache_key, CacheStore};
-use crate::proto::{
-    compute_cell, encode, run_response_lines, Request, Response, RunRequest, PROTO_VERSION,
-};
+use crate::proto::{compute_cell, encode, Rendered, Request, Response, RunRequest, PROTO_VERSION};
 use rmm_fleet::{JobTicket, ServicePool};
 use rmm_mac::ProtocolKind;
 use rmm_stats::{render_registry, MetricsRegistry};
 use rmm_workload::scenario_schema_hash;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// The longest request line served, in bytes, its newline excluded. A
+/// default Table 2 `Run` request is about 550 bytes.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// How long a connection closed over an oversize line goes on
+/// discarding input, so that its client reads the `Error` and then the
+/// close, not a reset.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// One connection's queue of whole responses, newlines included.
+type Outbox = mpsc::Sender<Vec<u8>>;
 
 /// How a [`Server`] is configured; `Default` is a loopback server on an
 /// OS-assigned port with a memory-only cache.
@@ -79,6 +101,7 @@ struct Shared {
     conns_rejected: AtomicU64,
     requests: AtomicU64,
     errors: AtomicU64,
+    oversize_lines: AtomicU64,
     addr: SocketAddr,
 }
 
@@ -100,6 +123,10 @@ impl Shared {
         );
         reg.add("serve_cache_hits_total", self.cache.hits());
         reg.add("serve_cache_misses_total", self.cache.misses());
+        reg.add(
+            "serve_cache_read_failures_total",
+            self.cache.read_failures(),
+        );
         reg.add("serve_cache_entries", self.cache.len() as u64);
         reg.add("serve_engine_runs_total", self.pool.executed());
         reg.add("serve_jobs_cancelled_total", self.pool.cancelled());
@@ -112,6 +139,10 @@ impl Shared {
             self.conns_rejected.load(Ordering::Relaxed),
         );
         reg.add("serve_errors_total", self.errors.load(Ordering::Relaxed));
+        reg.add(
+            "serve_oversize_lines_total",
+            self.oversize_lines.load(Ordering::Relaxed),
+        );
         reg.add("serve_workers", self.pool.workers() as u64);
         render_registry(&reg, "rmm")
     }
@@ -143,6 +174,7 @@ impl Server {
             conns_rejected: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            oversize_lines: AtomicU64::new(0),
             addr,
         });
         if !config.quiet {
@@ -210,6 +242,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
         let over_cap = {
             let mut open = shared.conns_open.lock().expect("connection count poisoned");
             if *open >= max_conns {
@@ -250,18 +283,31 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (out_tx, out_rx) = mpsc::channel::<String>();
+    let (out_tx, out_rx) = mpsc::channel::<Vec<u8>>();
     let writer = std::thread::spawn(move || writer_loop(write_half, out_rx));
     let mut outstanding: Vec<JobTicket> = Vec::new();
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let mut oversize = false;
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            shared.oversize_lines.fetch_add(1, Ordering::Relaxed);
+            let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            send_error(shared, &out_tx, None, message);
+            oversize = true;
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            send_error(shared, &out_tx, None, "request line is not UTF-8".into());
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -273,33 +319,31 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
                 "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
                 body.len(),
                 body
-            ));
+            ).into_bytes());
             break;
         }
         let request = match serde_json::from_str::<Request>(trimmed) {
             Ok(request) => request,
             Err(e) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = out_tx.send(encode(&Response::Error {
-                    id: None,
-                    message: format!("unparseable request: {e}"),
-                }));
+                send_error(shared, &out_tx, None, format!("unparseable request: {e}"));
                 continue;
             }
         };
         match request {
-            Request::Ping => {
-                let _ = out_tx.send(encode(&Response::Pong {
+            Request::Ping => send(
+                &out_tx,
+                &Response::Pong {
                     version: PROTO_VERSION,
-                }));
-            }
-            Request::Metrics => {
-                let _ = out_tx.send(encode(&Response::Metrics {
+                },
+            ),
+            Request::Metrics => send(
+                &out_tx,
+                &Response::Metrics {
                     text: shared.metrics_text(),
-                }));
-            }
+                },
+            ),
             Request::Shutdown => {
-                let _ = out_tx.send(encode(&Response::Draining));
+                send(&out_tx, &Response::Draining);
                 shared.begin_drain();
             }
             Request::Run(req) => {
@@ -319,76 +363,93 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     }
     drop(out_tx);
     let _ = writer.join();
+    if oversize {
+        linger(reader.into_inner());
+    }
 }
 
-/// Validates and serves one run request: cache hit replays inline, a
-/// miss is scheduled on the pool (unless draining). Returns the
-/// cancellation ticket of a scheduled job.
-fn serve_run(
-    req: RunRequest,
-    shared: &Arc<Shared>,
-    out_tx: &mpsc::Sender<String>,
-) -> Option<JobTicket> {
+/// Closes a connection whose framing is lost. The write side closes
+/// first, so the client reads what was sent and then EOF; then the
+/// input the client is still sending is discarded for up to [`LINGER`].
+/// Closing with that input unread would reset the connection, and the
+/// reset could overtake the `Error` line.
+fn linger(stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline {
+        match (&stream).read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
+}
+
+/// Queues one response line for the connection's writer.
+fn send(out_tx: &Outbox, response: &Response) {
+    let mut line = encode(response).into_bytes();
+    line.push(b'\n');
+    let _ = out_tx.send(line);
+}
+
+/// Counts and queues one `Error` line.
+fn send_error(shared: &Shared, out_tx: &Outbox, id: Option<u64>, message: String) {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    send(out_tx, &Response::Error { id, message });
+}
+
+/// Validates and serves one run request: a cache hit is written
+/// inline, a miss is scheduled on the pool (unless draining). Returns
+/// the cancellation ticket of a scheduled job.
+fn serve_run(req: RunRequest, shared: &Arc<Shared>, out_tx: &Outbox) -> Option<JobTicket> {
     let id = req.id;
-    let send_error = |message: String| {
-        shared.errors.fetch_add(1, Ordering::Relaxed);
-        let _ = out_tx.send(encode(&Response::Error {
-            id: Some(id),
-            message,
-        }));
-    };
     let Some(protocol) = ProtocolKind::parse(&req.protocol) else {
-        send_error(format!("unknown protocol {:?}", req.protocol));
+        let message = format!("unknown protocol {:?}", req.protocol);
+        send_error(shared, out_tx, Some(id), message);
         return None;
     };
     if let Err(e) = req.scenario.validate() {
-        send_error(e);
+        send_error(shared, out_tx, Some(id), e);
         return None;
     }
     let key = cache_key(protocol, &req.scenario, req.seed, req.trace, req.profile);
-    if let Some(cell) = shared.cache.get(&key) {
-        for line in run_response_lines(id, &cell, true) {
-            let _ = out_tx.send(line);
-        }
+    if let Some(rendered) = shared.cache.get(&key) {
+        let _ = out_tx.send(rendered.write(id, true));
         return None;
     }
     if shared.draining.load(Ordering::SeqCst) {
-        send_error("server is draining".into());
+        send_error(shared, out_tx, Some(id), "server is draining".into());
         return None;
     }
     let job_shared = Arc::clone(shared);
     let out_tx = out_tx.clone();
     Some(shared.pool.submit(move || {
         let cell = compute_cell(&req.scenario, protocol, req.seed, req.trace, req.profile);
-        job_shared.cache.put(&key, req.seed, &cell);
-        for line in run_response_lines(id, &cell, false) {
-            let _ = out_tx.send(line);
-        }
+        let rendered = Rendered::render(&cell);
+        drop(cell);
+        let rendered = job_shared.cache.put_rendered(&key, req.seed, rendered);
+        let _ = out_tx.send(rendered.write(id, false));
     }))
 }
 
-/// Serializes every response line of one connection. A dead socket
-/// drains the channel without writing, so producers never block on it.
-fn writer_loop(stream: TcpStream, out_rx: mpsc::Receiver<String>) {
+/// Writes every response of one connection. A dead socket drains the
+/// channel without writing, so producers never block on it.
+fn writer_loop(stream: TcpStream, out_rx: mpsc::Receiver<Vec<u8>>) {
     let mut out = std::io::BufWriter::new(stream);
     let mut broken = false;
-    while let Ok(line) = out_rx.recv() {
+    while let Ok(response) = out_rx.recv() {
         if broken {
             continue;
         }
-        if writeln!(out, "{line}").is_err() {
-            broken = true;
-            continue;
-        }
+        broken = out.write_all(&response).is_err();
         // Batch whatever is already queued before paying the flush.
-        while let Ok(line) = out_rx.try_recv() {
-            if writeln!(out, "{line}").is_err() {
-                broken = true;
+        while !broken {
+            let Ok(response) = out_rx.try_recv() else {
                 break;
-            }
+            };
+            broken = out.write_all(&response).is_err();
         }
-        if !broken && out.flush().is_err() {
-            broken = true;
-        }
+        broken = broken || out.flush().is_err();
     }
 }

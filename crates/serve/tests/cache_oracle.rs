@@ -1,0 +1,239 @@
+//! Oracle tests for the cached stream: what a hit writes is what
+//! `run_response_lines` renders for its id and cached flag, whichever
+//! store it comes from; a cache file in an earlier layout, or an entry
+//! damaged on disk, is never served; and a hit answers without waiting
+//! on TCP's delayed ACK.
+
+use rmm_fleet::{hex, Fnv1a, JobId, Manifest, ManifestHeader, MANIFEST_VERSION};
+use rmm_mac::ProtocolKind;
+use rmm_serve::{
+    cache_key, compute_cell, fetch_metrics, local_lines, parse_metric, request_shutdown,
+    run_response_lines, submit_one, CacheStore, Rendered, Request, RunRequest, ServeConfig, Server,
+    PROTO_VERSION,
+};
+use rmm_workload::{scenario_schema_hash, Scenario};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::net::TcpStream;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+fn tiny() -> Scenario {
+    Scenario {
+        n_nodes: 10,
+        sim_slots: 400,
+        n_runs: 1,
+        ..Scenario::default()
+    }
+}
+
+fn run_req(id: u64, protocol: &str, seed: u64) -> RunRequest {
+    RunRequest {
+        id,
+        protocol: protocol.into(),
+        scenario: tiny(),
+        seed,
+        trace: false,
+        profile: false,
+    }
+}
+
+fn tmp_cache(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rmm-serve-oracle-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("cache.jsonl")
+}
+
+/// What a server streams for `lines`.
+fn joined(lines: &[String]) -> Vec<u8> {
+    lines
+        .iter()
+        .flat_map(|l| [l.as_bytes(), b"\n"].concat())
+        .collect()
+}
+
+fn start(cache_path: Option<PathBuf>) -> (Server, String) {
+    let server = Server::start(ServeConfig {
+        cache_path,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr().to_string();
+    (server, addr)
+}
+
+fn stop(server: Server, addr: &str) {
+    request_shutdown(addr).expect("drain acknowledged");
+    server.join();
+}
+
+fn metric(addr: &str, name: &str) -> u64 {
+    parse_metric(&fetch_metrics(addr).unwrap(), name).unwrap()
+}
+
+#[test]
+fn spliced_streams_match_the_renderer() {
+    let memory = CacheStore::open(None, 7).unwrap();
+    let disk = CacheStore::open(Some(&tmp_cache("splice")), 7).unwrap();
+    let s = tiny();
+    for protocol in ProtocolKind::EVERY {
+        for (trace, profile) in [(false, false), (true, false), (false, true)] {
+            let cell = compute_cell(&s, protocol, 11, trace, profile);
+            let rendered = Rendered::render(&cell);
+            assert_eq!(
+                Rendered::parse(rendered.text().to_string()).as_ref(),
+                Some(&rendered)
+            );
+            let key = cache_key(protocol, &s, 11, trace, profile);
+            memory.put(&key, 11, &cell);
+            disk.put(&key, 11, &cell);
+            let stored = [memory.get(&key).unwrap(), disk.get(&key).unwrap()];
+            for id in [0, 9, 10, 4_242, u64::MAX] {
+                for cached in [false, true] {
+                    let want = joined(&run_response_lines(id, &cell, cached));
+                    let what = format!("{protocol:?} trace={trace} profile={profile} id={id}");
+                    assert_eq!(rendered.write(id, cached), want, "{what} cached={cached}");
+                    for store in &stored {
+                        assert_eq!(store.write(id, cached), want, "{what} cached={cached}");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(disk.read_failures(), 0);
+}
+
+#[test]
+fn cache_file_in_the_old_layout_starts_cold() {
+    let path = tmp_cache("old-layout");
+    let req = run_req(3, "bmw", 21);
+    let protocol = ProtocolKind::parse(&req.protocol).unwrap();
+    let key = cache_key(protocol, &req.scenario, req.seed, false, false);
+    // Earlier builds stored each cell's JSON under a header that hashed
+    // only the service name and the wire version.
+    let write_old_layout = || {
+        let mut h = Fnv1a::new();
+        h.write_str("serve");
+        h.write_u64(u64::from(PROTO_VERSION));
+        let header = ManifestHeader {
+            sweep: "serve-cache".into(),
+            options_hash: hex(h.finish()),
+            jobs: 0,
+            version: MANIFEST_VERSION,
+            schema: scenario_schema_hash(),
+        };
+        let cell = compute_cell(&req.scenario, protocol, req.seed, false, false);
+        let json = format!(
+            "{{\"result\":{},\"trace\":null,\"profile\":null}}",
+            serde_json::to_string(&cell.result).unwrap()
+        );
+        Manifest::create(
+            &path,
+            &header,
+            &[(JobId::new("serve", &key, req.seed), json)],
+        )
+        .unwrap();
+    };
+
+    write_old_layout();
+    let cache = CacheStore::open(Some(&path), scenario_schema_hash()).unwrap();
+    assert!(cache.is_empty(), "an old-layout file is discarded at open");
+    assert!(cache.get(&key).is_none());
+    assert_eq!(cache.read_failures(), 0, "discarded, never read");
+    drop(cache);
+
+    write_old_layout();
+    let (server, addr) = start(Some(path.clone()));
+    assert_eq!(submit_one(&addr, &req).unwrap(), local_lines(&req).unwrap());
+    assert_eq!(metric(&addr, "rmm_serve_engine_runs_total"), 1);
+    assert_eq!(metric(&addr, "rmm_serve_cache_hits_total"), 0);
+    stop(server, &addr);
+}
+
+#[test]
+fn flipped_entry_is_a_counted_miss_that_recomputes() {
+    let path = tmp_cache("flipped");
+    let (server, addr) = start(Some(path.clone()));
+    let req = run_req(5, "lamm", 4);
+    let cold = submit_one(&addr, &req).unwrap();
+    assert_eq!(cold, local_lines(&req).unwrap());
+
+    // Flip one byte inside the stored stream, in place.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let at = text.find("Started").expect("the entry holds the stream");
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.seek(SeekFrom::Start(at as u64)).unwrap();
+    file.write_all(b"s").unwrap();
+    drop(file);
+
+    let again = submit_one(&addr, &req).unwrap();
+    assert_eq!(again, cold, "the miss recomputes the right bytes");
+    assert_eq!(metric(&addr, "rmm_serve_cache_read_failures_total"), 1);
+    assert_eq!(metric(&addr, "rmm_serve_cache_misses_total"), 2);
+    assert_eq!(metric(&addr, "rmm_serve_engine_runs_total"), 2);
+    // The recomputed entry serves the next request.
+    let warm = submit_one(&addr, &req).unwrap();
+    assert_eq!(
+        warm.last().unwrap(),
+        &cold
+            .last()
+            .unwrap()
+            .replacen("\"cached\":false", "\"cached\":true", 1)
+    );
+    assert_eq!(metric(&addr, "rmm_serve_cache_hits_total"), 1);
+    assert_eq!(metric(&addr, "rmm_serve_cache_read_failures_total"), 1);
+    stop(server, &addr);
+}
+
+#[test]
+fn hits_on_one_connection_answer_in_under_20ms() {
+    let (server, addr) = start(Some(tmp_cache("latency")));
+    // A Table 2 cell at 2 000 slots: an 18 KB answer, larger than one
+    // buffered write.
+    let req = RunRequest {
+        id: 1,
+        protocol: "bmmm".into(),
+        scenario: Scenario {
+            sim_slots: 2_000,
+            n_runs: 1,
+            ..Scenario::default()
+        },
+        seed: 5,
+        trace: false,
+        profile: false,
+    };
+    let cold = joined(&submit_one(&addr, &req).unwrap());
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let line = serde_json::to_string(&Request::Run(req)).unwrap() + "\n";
+    let mut ms = Vec::new();
+    let mut answer = Vec::new();
+    for _ in 0..21 {
+        answer.clear();
+        let t0 = Instant::now();
+        writer.write_all(line.as_bytes()).unwrap();
+        loop {
+            let start = answer.len();
+            assert!(reader.read_until(b'\n', &mut answer).unwrap() > 0);
+            if answer[start..].starts_with(b"{\"Result\"") {
+                break;
+            }
+        }
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    let cached =
+        String::from_utf8(cold)
+            .unwrap()
+            .replacen("\"cached\":false", "\"cached\":true", 1);
+    assert_eq!(answer, cached.into_bytes());
+    ms.sort_by(f64::total_cmp);
+    assert!(ms[10] < 20.0, "median hit {:.2} ms of {ms:?}", ms[10]);
+    assert_eq!(metric(&addr, "rmm_serve_cache_hits_total"), 21);
+    drop((writer, reader));
+    stop(server, &addr);
+}

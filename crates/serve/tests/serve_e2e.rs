@@ -5,7 +5,7 @@
 
 use rmm_serve::{
     fetch_metrics, local_lines, parse_metric, request_shutdown, soak, submit_one, Request,
-    RunRequest, ServeConfig, Server, SoakSpec,
+    RunRequest, ServeConfig, Server, SoakSpec, MAX_REQUEST_LINE,
 };
 use rmm_workload::{ChurnPlan, Scenario};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -144,10 +144,12 @@ fn bad_lines_and_unknown_protocols_error_without_killing_the_connection() {
     )
     .unwrap();
     writeln!(stream, "{}", serde_json::to_string(&Request::Ping).unwrap()).unwrap();
+    stream.write_all(b"\xff\xfe not utf8\n").unwrap();
+    writeln!(stream, "{}", serde_json::to_string(&Request::Ping).unwrap()).unwrap();
     stream.flush().unwrap();
     let mut reader = BufReader::new(stream);
     let mut lines = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..5 {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         lines.push(line);
@@ -158,7 +160,46 @@ fn bad_lines_and_unknown_protocols_error_without_killing_the_connection() {
         lines[2].contains("\"Pong\""),
         "connection stays usable after errors"
     );
+    assert!(lines[3].contains("\"Error\"") && lines[3].contains("UTF-8"));
+    assert!(
+        lines[4].contains("\"Pong\""),
+        "connection stays usable after a non-UTF-8 line"
+    );
+    let metrics = fetch_metrics(&addr).unwrap();
+    assert_eq!(parse_metric(&metrics, "rmm_serve_errors_total"), Some(3));
     drop(reader); // close our connection so the drain can complete
+    drain(server, &addr);
+}
+
+#[test]
+fn oversize_line_gets_one_error_and_a_close() {
+    let (server, addr) = start(ServeConfig::default());
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // Twice the bound, and no newline ever.
+    stream.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]).unwrap();
+    stream.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"Error\"") && line.contains("longer than"),
+        "{line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then the close");
+    drop(reader);
+    // A new connection is still served.
+    let req = run_req(4, "bmmm", 2, false);
+    assert_eq!(submit_one(&addr, &req).unwrap(), local_lines(&req).unwrap());
+    let metrics = fetch_metrics(&addr).unwrap();
+    assert_eq!(
+        parse_metric(&metrics, "rmm_serve_oversize_lines_total"),
+        Some(1)
+    );
+    assert_eq!(parse_metric(&metrics, "rmm_serve_errors_total"), Some(1));
     drain(server, &addr);
 }
 
