@@ -4,10 +4,12 @@
 //! rmm run     --protocol lamm [--config s.json] [--nodes N] [--slots N]
 //!             [--rate X] [--timeout N] [--runs N] [--seed N] [--json]
 //!             [--trace-out t.jsonl] [--metrics-out m.json]
-//!             [--jobs N] [--manifest f.jsonl] [--resume]
+//!             [--profile-out p.json] [--jobs N] [--manifest f.jsonl] [--resume]
 //! rmm compare [--config s.json] [same overrides] [--metrics-out m.json]
 //!             [--jobs N]
 //! rmm trace   --protocol bmmm [--seed N] [overrides]  # JSONL to stdout
+//! rmm prof    --protocol bmmm [--seed N] [--json] [--profile-out p.json]
+//!             [--prom-out p.prom] [overrides]
 //! rmm chaos   [--iters N] [--budget-secs N] [--protocol name] [--seed N]
 //!             [--canary] [--out repro.json] [--repro repro.json] [overrides]
 //! rmm config  # emit a default scenario JSON template to stdout
@@ -15,18 +17,19 @@
 //!
 //! Configs are the JSON serialization of
 //! [`rmm::workload::Scenario`]; command-line flags override
-//! individual fields after the file is loaded. `trace` (and `run` with
-//! `--trace-out`/`--metrics-out`) executes one *traced* run at the given
-//! seed and exports the protocol event log as JSON Lines plus a metrics
-//! registry derived from it.
+//! individual fields after the file is loaded. `trace`, `prof`, and `run`
+//! with `--trace-out`/`--metrics-out`/`--profile-out` execute one traced
+//! and profiled run at the given seed ([`CellExport`]) and export from
+//! it: the protocol event log as JSON Lines, the metrics registry folded
+//! from it, and the phase-timer attribution.
 
 use rmm::fleet::{run_sweep, Fnv1a, JobId, SweepConfig};
 use rmm::mac::ProtocolKind;
-use rmm::sim::{FaultPlan, GilbertElliott, Trace};
-use rmm::stats::{render_profile, render_registry, ProfileReport, Summary, Table};
+use rmm::sim::{FaultPlan, GilbertElliott, SpecError, Trace};
+use rmm::stats::{render_profile, render_registry, MetricsRegistry, ProfileReport, Summary, Table};
 use rmm::workload::{
-    collect_dwell, collect_metrics, mean_group_metrics, run, run_chaos, run_many_jobs, run_one,
-    ChaosConfig, ChaosOutcome, ChaosRepro, ChurnPlan, Probes, RunResult, RunSpec, Scenario,
+    collect_metrics, mean_group_metrics, run, run_chaos, run_many_jobs, run_one, ChaosConfig,
+    ChaosOutcome, ChaosRepro, ChurnPlan, Probes, RunResult, RunSpec, Scenario,
 };
 use std::time::Duration;
 
@@ -240,8 +243,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
         None => return Ok(Command::Help),
     };
     match sub.as_str() {
-        "config" => Ok(Command::Config),
-        "help" | "--help" | "-h" => Ok(Command::Help),
+        "config" | "help" | "--help" | "-h" => match args.next() {
+            Some(extra) => Err(CliError::Unknown(extra)),
+            None if sub == "config" => Ok(Command::Config),
+            None => Ok(Command::Help),
+        },
         "run" | "compare" | "trace" | "prof" | "chaos" => {
             let mut protocol = None;
             let mut scenario = Scenario::default();
@@ -258,97 +264,32 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut repro = None;
             let rest: Vec<String> = args.collect();
             let mut i = 0;
-            let value = |rest: &[String], i: usize, flag: &str| -> Result<String, CliError> {
-                rest.get(i + 1)
-                    .cloned()
-                    .ok_or_else(|| CliError::BadValue(flag.into()))
-            };
             while i < rest.len() {
+                if scenario_override(&rest, i, &mut scenario, &mut seed)? {
+                    i += 2;
+                    continue;
+                }
                 match rest[i].as_str() {
                     "--protocol" | "-p" => {
-                        let v = value(&rest, i, "--protocol")?;
+                        let v = flag_value(&rest, i, "--protocol")?;
                         protocol =
                             Some(parse_protocol(&v).ok_or_else(|| CliError::BadValue(v.clone()))?);
                         i += 2;
                     }
-                    "--config" => {
-                        let path = value(&rest, i, "--config")?;
-                        let text = std::fs::read_to_string(&path)
-                            .map_err(|e| CliError::BadConfig(format!("{path}: {e}")))?;
-                        scenario = serde_json::from_str(&text)
-                            .map_err(|e| CliError::BadConfig(format!("{path}: {e}")))?;
-                        i += 2;
-                    }
-                    "--nodes" => {
-                        scenario.n_nodes = parse_num(&rest, i, "--nodes")?;
-                        i += 2;
-                    }
-                    "--slots" => {
-                        scenario.sim_slots = parse_num(&rest, i, "--slots")?;
-                        i += 2;
-                    }
-                    "--rate" => {
-                        scenario.msg_rate = parse_num(&rest, i, "--rate")?;
-                        i += 2;
-                    }
-                    "--timeout" => {
-                        scenario.timing.timeout = parse_num(&rest, i, "--timeout")?;
-                        i += 2;
-                    }
-                    "--runs" => {
-                        scenario.n_runs = parse_num(&rest, i, "--runs")?;
-                        i += 2;
-                    }
-                    "--threshold" => {
-                        scenario.reliability_threshold = parse_num(&rest, i, "--threshold")?;
-                        i += 2;
-                    }
-                    "--fer" => {
-                        scenario.fer = parse_num(&rest, i, "--fer")?;
-                        i += 2;
-                    }
-                    "--faults" => {
-                        let v = value(&rest, i, "--faults")?;
-                        scenario.faults = FaultPlan::parse(&v)
-                            .map_err(|e| CliError::BadValue(format!("--faults: {e}")))?;
-                        i += 2;
-                    }
-                    "--churn" => {
-                        let v = value(&rest, i, "--churn")?;
-                        scenario.churn = ChurnPlan::parse(&v)
-                            .map_err(|e| CliError::BadValue(format!("--churn: {e}")))?;
-                        i += 2;
-                    }
-                    "--burst-fer" => {
-                        let v = value(&rest, i, "--burst-fer")?;
-                        scenario.burst = Some(
-                            parse_burst(&v)
-                                .ok_or_else(|| CliError::BadValue(format!("--burst-fer {v}")))?,
-                        );
-                        i += 2;
-                    }
-                    "--stall-window" => {
-                        scenario.stall_window = Some(parse_num(&rest, i, "--stall-window")?);
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_num(&rest, i, "--seed")?;
-                        i += 2;
-                    }
                     "--trace-out" if sub == "run" || sub == "trace" => {
-                        trace_out = Some(value(&rest, i, "--trace-out")?);
+                        trace_out = Some(flag_value(&rest, i, "--trace-out")?);
                         i += 2;
                     }
-                    "--metrics-out" if sub != "prof" => {
-                        metrics_out = Some(value(&rest, i, "--metrics-out")?);
+                    "--metrics-out" if matches!(sub.as_str(), "run" | "trace" | "compare") => {
+                        metrics_out = Some(flag_value(&rest, i, "--metrics-out")?);
                         i += 2;
                     }
                     "--profile-out" if sub == "run" || sub == "prof" => {
-                        profile_out = Some(value(&rest, i, "--profile-out")?);
+                        profile_out = Some(flag_value(&rest, i, "--profile-out")?);
                         i += 2;
                     }
                     "--prom-out" if sub == "prof" => {
-                        prom_out = Some(value(&rest, i, "--prom-out")?);
+                        prom_out = Some(flag_value(&rest, i, "--prom-out")?);
                         i += 2;
                     }
                     "--json" if sub != "trace" => {
@@ -360,7 +301,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                         i += 2;
                     }
                     "--manifest" if sub == "run" => {
-                        sweep.manifest = Some(value(&rest, i, "--manifest")?);
+                        sweep.manifest = Some(flag_value(&rest, i, "--manifest")?);
                         i += 2;
                     }
                     "--resume" if sub == "run" => {
@@ -376,11 +317,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                         i += 2;
                     }
                     "--out" if sub == "chaos" => {
-                        out = Some(value(&rest, i, "--out")?);
+                        out = Some(flag_value(&rest, i, "--out")?);
                         i += 2;
                     }
                     "--repro" if sub == "chaos" => {
-                        repro = Some(value(&rest, i, "--repro")?);
+                        repro = Some(flag_value(&rest, i, "--repro")?);
                         i += 2;
                     }
                     "--canary" if sub == "chaos" => {
@@ -515,8 +456,13 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut conns = 8usize;
             let mut trace_every = 0usize;
             let mut expect_cached = false;
+            let runs_a_scenario = action == "run" || action == "soak";
             let mut i = 0;
             while i < rest.len() {
+                if runs_a_scenario && scenario_override(&rest, i, &mut scenario, &mut seed)? {
+                    i += 2;
+                    continue;
+                }
                 match rest[i].as_str() {
                     "--addr" => {
                         addr = flag_value(&rest, i, "--addr")?;
@@ -526,34 +472,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                         let v = flag_value(&rest, i, "--protocol")?;
                         protocol =
                             Some(parse_protocol(&v).ok_or_else(|| CliError::BadValue(v.clone()))?);
-                        i += 2;
-                    }
-                    "--config" if action == "run" || action == "soak" => {
-                        let path = flag_value(&rest, i, "--config")?;
-                        let text = std::fs::read_to_string(&path)
-                            .map_err(|e| CliError::BadConfig(format!("{path}: {e}")))?;
-                        scenario = serde_json::from_str(&text)
-                            .map_err(|e| CliError::BadConfig(format!("{path}: {e}")))?;
-                        i += 2;
-                    }
-                    "--nodes" if action == "run" || action == "soak" => {
-                        scenario.n_nodes = parse_num(&rest, i, "--nodes")?;
-                        i += 2;
-                    }
-                    "--slots" if action == "run" || action == "soak" => {
-                        scenario.sim_slots = parse_num(&rest, i, "--slots")?;
-                        i += 2;
-                    }
-                    "--rate" if action == "run" || action == "soak" => {
-                        scenario.msg_rate = parse_num(&rest, i, "--rate")?;
-                        i += 2;
-                    }
-                    "--runs" if action == "run" || action == "soak" => {
-                        scenario.n_runs = parse_num(&rest, i, "--runs")?;
-                        i += 2;
-                    }
-                    "--seed" if action == "run" || action == "soak" => {
-                        seed = parse_num(&rest, i, "--seed")?;
                         i += 2;
                     }
                     "--trace" if action == "run" => {
@@ -620,6 +538,51 @@ fn flag_value(rest: &[String], i: usize, flag: &str) -> Result<String, CliError>
     rest.get(i + 1)
         .cloned()
         .ok_or_else(|| CliError::BadValue(flag.into()))
+}
+
+/// Applies the scenario override at `rest[i]` (`--config` through
+/// `--stall-window`, plus `--seed`), which takes the value after it.
+/// `Ok(false)` when `rest[i]` is no such flag. Every subcommand that
+/// runs a scenario parses its overrides here.
+fn scenario_override(
+    rest: &[String],
+    i: usize,
+    scenario: &mut Scenario,
+    seed: &mut u64,
+) -> Result<bool, CliError> {
+    let flag = rest[i].as_str();
+    let spec_error = |e: SpecError| CliError::BadValue(format!("{flag}: {e}"));
+    match flag {
+        "--config" => {
+            let path = flag_value(rest, i, flag)?;
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| CliError::BadConfig(format!("{path}: {e}")))?;
+            *scenario = serde_json::from_str(&text)
+                .map_err(|e| CliError::BadConfig(format!("{path}: {e}")))?;
+        }
+        "--nodes" => scenario.n_nodes = parse_num(rest, i, flag)?,
+        "--slots" => scenario.sim_slots = parse_num(rest, i, flag)?,
+        "--rate" => scenario.msg_rate = parse_num(rest, i, flag)?,
+        "--timeout" => scenario.timing.timeout = parse_num(rest, i, flag)?,
+        "--runs" => scenario.n_runs = parse_num(rest, i, flag)?,
+        "--threshold" => scenario.reliability_threshold = parse_num(rest, i, flag)?,
+        "--fer" => scenario.fer = parse_num(rest, i, flag)?,
+        "--faults" => {
+            scenario.faults = FaultPlan::parse(&flag_value(rest, i, flag)?).map_err(spec_error)?;
+        }
+        "--churn" => {
+            scenario.churn = ChurnPlan::parse(&flag_value(rest, i, flag)?).map_err(spec_error)?;
+        }
+        "--burst-fer" => {
+            let v = flag_value(rest, i, flag)?;
+            let burst = parse_burst(&v).ok_or_else(|| CliError::BadValue(format!("{flag} {v}")))?;
+            scenario.burst = Some(burst);
+        }
+        "--stall-window" => scenario.stall_window = Some(parse_num(rest, i, flag)?),
+        "--seed" => *seed = parse_num(rest, i, flag)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn parse_num<T: std::str::FromStr>(rest: &[String], i: usize, flag: &str) -> Result<T, CliError> {
@@ -825,175 +788,181 @@ pub fn render_compare(scenario: &Scenario, seed: u64, json: bool, jobs: usize) -
     }
 }
 
-/// Artifacts from one traced run, ready to write out.
-#[derive(Debug, Clone)]
-pub struct TraceExport {
-    /// The event log, one JSON object per line.
-    pub jsonl: String,
-    /// Manifest + metrics registry derived from the trace, pretty JSON.
-    pub metrics_json: String,
-    /// One-line human summary for stderr.
-    pub summary: String,
+/// The dwell states of [`collect_metrics`]: each one's metric infix
+/// and table label.
+const DWELL: [(&str, &str); 4] = [
+    ("contention", "contention"),
+    ("batch", "batch service"),
+    ("ack_wait", "ack wait"),
+    ("backoff", "backoff drawn"),
+];
+
+/// One run of a cell with the trace and profile probes on, and every
+/// artifact the CLI renders from it: `run`, `trace`, `prof` and
+/// `compare --metrics-out` all export from this one run. The phase
+/// attribution therefore includes the cost of recording the trace
+/// (mostly in the Resolve phase).
+#[derive(Debug)]
+pub struct CellExport {
+    /// The run's result; its manifest names the cell.
+    pub result: RunResult,
+    /// The event log.
+    pub trace: Trace,
+    /// The phase-timer report.
+    pub profile: ProfileReport,
+    /// The counters and histograms [`collect_metrics`] folds from the
+    /// trace, dwell included.
+    pub metrics: MetricsRegistry,
 }
 
-/// One traced run on the fast path, optionally with the phase timers
-/// on as well.
-fn traced_run(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-    profile: bool,
-) -> (RunResult, Trace, Option<ProfileReport>) {
-    let spec = RunSpec {
-        probes: Probes {
-            trace: true,
-            profile,
-            ..Probes::default()
-        },
-        ..RunSpec::default()
-    };
-    let out = run(scenario, protocol, seed, &spec);
-    (
-        out.result,
-        out.trace.expect("tracing was enabled"),
-        out.profile,
-    )
-}
-
-/// Executes a single traced run and renders its export artifacts.
-pub fn export_trace(protocol: ProtocolKind, scenario: &Scenario, seed: u64) -> TraceExport {
-    let (result, trace, _) = traced_run(scenario, protocol, seed, false);
-    let metrics = collect_metrics(trace.events(), &result.messages);
-    let mut doc = serde_json::Map::new();
-    doc.insert("manifest", serde_json::to_value(&result.manifest));
-    doc.insert("metrics", serde_json::to_value(&metrics));
-    let summary = format!(
-        "{} seed {}: {} events, {} messages, {} batches in {} slots ({} us)",
-        protocol.name(),
-        seed,
-        trace.events().len(),
-        result.messages.len(),
-        metrics.counter("batches"),
-        scenario.sim_slots,
-        result.manifest.wall_clock.total_us(),
-    );
-    TraceExport {
-        jsonl: trace.to_jsonl(),
-        metrics_json: serde_json::Value::Object(doc).pretty(),
-        summary,
+impl CellExport {
+    /// Runs `protocol` on `scenario` at `seed` once, traced and profiled.
+    pub fn run(protocol: ProtocolKind, scenario: &Scenario, seed: u64) -> CellExport {
+        let spec = RunSpec {
+            probes: Probes {
+                trace: true,
+                profile: true,
+                ..Probes::default()
+            },
+            ..RunSpec::default()
+        };
+        let out = run(scenario, protocol, seed, &spec);
+        let trace = out.trace.expect("tracing was enabled");
+        CellExport {
+            metrics: collect_metrics(trace.events(), &out.result.messages),
+            result: out.result,
+            trace,
+            profile: out.profile.expect("profiling was enabled"),
+        }
     }
-}
 
-/// Artifacts from one profiled run, ready to write out.
-#[derive(Debug, Clone)]
-pub struct ProfExport {
-    /// Hot-path attribution report (phase timers, airtime ledger, FSM
-    /// dwell totals), pretty JSON.
-    pub profile_json: String,
-    /// The same data as a Prometheus text-exposition snapshot.
-    pub prom_text: String,
-    /// Human-readable tables: phase attribution, airtime, dwell.
-    pub human: String,
-    /// One-line summary for stderr.
-    pub summary: String,
-}
+    /// The run manifest and the metrics registry, pretty JSON.
+    pub fn metrics_json(&self) -> String {
+        serde_json::json!({ "manifest": self.result.manifest, "metrics": self.metrics }).pretty()
+    }
 
-/// Executes one profiled + traced run and renders its attribution
-/// artifacts.
-///
-/// The run is traced so the airtime ledger can be joined with dwell
-/// times derived from the event log; trace-recording cost is therefore
-/// included in the phase attribution (dominated by the Resolve phase).
-pub fn export_profile(protocol: ProtocolKind, scenario: &Scenario, seed: u64) -> ProfExport {
-    let (result, trace, report) = traced_run(scenario, protocol, seed, true);
-    let report = report.expect("profiling was enabled");
-    let dwell = collect_dwell(trace.events(), scenario.n_nodes);
-    let mut registry = collect_metrics(trace.events(), &result.messages);
-    registry.merge(&dwell.to_registry());
-    let air = result.airtime;
+    /// One-line summary of the trace, for stderr.
+    pub fn trace_summary(&self) -> String {
+        let m = &self.result.manifest;
+        format!(
+            "{} seed {}: {} events, {} messages, {} batches in {} slots ({} us)",
+            m.protocol.name(),
+            m.seed,
+            self.trace.events().len(),
+            self.result.messages.len(),
+            self.metrics.counter("batches"),
+            m.slot_budget,
+            m.wall_clock.total_us(),
+        )
+    }
 
-    let mut doc = serde_json::Map::new();
-    doc.insert("protocol", serde_json::to_value(&protocol.name()));
-    doc.insert("seed", serde_json::to_value(&seed));
-    doc.insert("slots", serde_json::to_value(&scenario.sim_slots));
-    doc.insert("profile", serde_json::to_value(&report));
-    doc.insert("airtime", serde_json::to_value(&air));
-    doc.insert("dwell", serde_json::to_value(&dwell.network_totals()));
-    let profile_json = serde_json::Value::Object(doc).pretty();
+    /// Network-wide slots spent in one dwell state.
+    fn dwell(&self, state: &str) -> u64 {
+        self.metrics.counter(&format!("dwell_{state}_slots"))
+    }
 
-    let mut prom_text = render_profile(&report, "rmm_engine");
-    prom_text.push_str(&render_registry(&registry, "rmm"));
+    /// The attribution report (phase timers, airtime ledger, dwell
+    /// totals), pretty JSON.
+    pub fn profile_json(&self) -> String {
+        let m = &self.result.manifest;
+        let mut dwell = serde_json::Map::new();
+        for (state, _) in DWELL {
+            dwell.insert(
+                format!("{state}_slots"),
+                serde_json::json!(self.dwell(state)),
+            );
+        }
+        serde_json::json!({
+            "protocol": m.protocol.name(),
+            "seed": m.seed,
+            "slots": m.slot_budget,
+            "profile": self.profile,
+            "airtime": self.result.airtime,
+            "dwell": serde_json::Value::Object(dwell),
+        })
+        .pretty()
+    }
 
-    let share = |ns: u64| format!("{:.1}%", 100.0 * ns as f64 / report.total_ns.max(1) as f64);
-    let mut phases = Table::new(["phase", "ns", "calls", "share"]);
-    for p in &report.phases {
-        phases.row([
-            p.name.clone(),
-            p.ns.to_string(),
-            p.calls.to_string(),
-            share(p.ns),
+    /// The phase timers and the metrics registry as a Prometheus
+    /// text-exposition snapshot.
+    pub fn prom_text(&self) -> String {
+        let mut text = render_profile(&self.profile, "rmm_engine");
+        text.push_str(&render_registry(&self.metrics, "rmm"));
+        text
+    }
+
+    /// A phase timer's share of the profiled time.
+    fn share(&self, ns: u64) -> String {
+        format!(
+            "{:.1}%",
+            100.0 * ns as f64 / self.profile.total_ns.max(1) as f64
+        )
+    }
+
+    /// An airtime class's fraction of the run.
+    fn frac(&self, slots: u64) -> String {
+        format!(
+            "{:.3}",
+            slots as f64 / self.result.airtime.total_slots.max(1) as f64
+        )
+    }
+
+    /// Aligned tables: phase attribution, airtime ledger, dwell totals.
+    pub fn profile_tables(&self) -> String {
+        let mut phases = Table::new(["phase", "ns", "calls", "share"]);
+        for p in &self.profile.phases {
+            phases.row([
+                p.name.clone(),
+                p.ns.to_string(),
+                p.calls.to_string(),
+                self.share(p.ns),
+            ]);
+        }
+        let air = &self.result.airtime;
+        let mut airtime = Table::new(["airtime", "slots", "fraction"]);
+        for (label, slots) in [
+            ("idle", air.idle_slots),
+            ("data (success)", air.data_slots),
+            ("control", air.control_slots),
+            ("collision", air.collision_slots),
+        ] {
+            airtime.row([label.to_string(), slots.to_string(), self.frac(slots)]);
+        }
+        airtime.row([
+            "total".to_string(),
+            air.total_slots.to_string(),
+            "1.000".to_string(),
         ]);
+        let mut dwell = Table::new(["dwell (network)", "slots"]);
+        for (state, label) in DWELL {
+            dwell.row([label.to_string(), self.dwell(state).to_string()]);
+        }
+        format!(
+            "{}\n{}\n{}",
+            phases.render(),
+            airtime.render(),
+            dwell.render()
+        )
     }
-    let frac = |slots: u64| format!("{:.3}", slots as f64 / air.total_slots.max(1) as f64);
-    let mut airtime = Table::new(["airtime", "slots", "fraction"]);
-    airtime.row([
-        "idle".to_string(),
-        air.idle_slots.to_string(),
-        frac(air.idle_slots),
-    ]);
-    airtime.row([
-        "data (success)".to_string(),
-        air.data_slots.to_string(),
-        frac(air.data_slots),
-    ]);
-    airtime.row([
-        "control".to_string(),
-        air.control_slots.to_string(),
-        frac(air.control_slots),
-    ]);
-    airtime.row([
-        "collision".to_string(),
-        air.collision_slots.to_string(),
-        frac(air.collision_slots),
-    ]);
-    airtime.row([
-        "total".to_string(),
-        air.total_slots.to_string(),
-        "1.000".to_string(),
-    ]);
-    let totals = dwell.network_totals();
-    let mut dw = Table::new(["dwell (network)", "slots"]);
-    dw.row([
-        "contention".to_string(),
-        totals.contention_slots.to_string(),
-    ]);
-    dw.row(["batch service".to_string(), totals.batch_slots.to_string()]);
-    dw.row(["ack wait".to_string(), totals.ack_wait_slots.to_string()]);
-    dw.row([
-        "backoff drawn".to_string(),
-        totals.backoff_slots.to_string(),
-    ]);
-    let human = format!("{}\n{}\n{}", phases.render(), airtime.render(), dw.render());
 
-    let hottest = report.phases.iter().max_by_key(|p| p.ns);
-    let summary = format!(
-        "{} seed {}: {} slots profiled in {} us; hottest phase {} ({}); \
-         airtime {} data / {} control / {} collision",
-        protocol.name(),
-        seed,
-        scenario.sim_slots,
-        report.total_ns / 1_000,
-        hottest.map_or("-", |p| p.name.as_str()),
-        hottest.map_or_else(|| "0.0%".to_string(), |p| share(p.ns)),
-        frac(air.data_slots),
-        frac(air.control_slots),
-        frac(air.collision_slots),
-    );
-    ProfExport {
-        profile_json,
-        prom_text,
-        human,
-        summary,
+    /// One-line summary of the profile, for stderr.
+    pub fn profile_summary(&self) -> String {
+        let m = &self.result.manifest;
+        let air = &self.result.airtime;
+        let hottest = self.profile.phases.iter().max_by_key(|p| p.ns);
+        format!(
+            "{} seed {}: {} slots profiled in {} us; hottest phase {} ({}); \
+             airtime {} data / {} control / {} collision",
+            m.protocol.name(),
+            m.seed,
+            m.slot_budget,
+            self.profile.total_ns / 1_000,
+            hottest.map_or("-", |p| p.name.as_str()),
+            hottest.map_or_else(|| "0.0%".to_string(), |p| self.share(p.ns)),
+            self.frac(air.data_slots),
+            self.frac(air.control_slots),
+            self.frac(air.collision_slots),
+        )
     }
 }
 
@@ -1004,11 +973,9 @@ pub fn compare_metrics_json(scenario: &Scenario, seed: u64) -> String {
     let rows: Vec<serde_json::Value> = ProtocolKind::ALL
         .into_iter()
         .map(|p| {
-            let (result, trace, _) = traced_run(scenario, p, seed, false);
-            let metrics = collect_metrics(trace.events(), &result.messages);
             serde_json::json!({
                 "protocol": p.name(),
-                "metrics": serde_json::to_value(&metrics),
+                "metrics": CellExport::run(p, scenario, seed).metrics,
             })
         })
         .collect();
@@ -1175,10 +1142,11 @@ options:
   --stall-window N        liveness watchdog: report senders with no tx for N slots
   --trace-out <file>      write the traced run's events as JSON Lines
                           (run/trace; trace prints to stdout by default)
-  --metrics-out <file>    write trace-derived counters/histograms as JSON
+  --metrics-out <file>    write trace-derived counters/histograms, FSM dwell
+                          included, as JSON (run/trace/compare)
   --profile-out <file>    write a profiled run's attribution report as JSON
                           (run/prof): engine phase timers, airtime ledger,
-                          per-station FSM dwell totals
+                          network FSM dwell totals
   --prom-out <file>       write a Prometheus text-exposition snapshot (prof)
   --jobs N                worker threads for the run sweep (run/compare;
                           0 = one per core; results identical at any N)
@@ -1456,21 +1424,125 @@ mod tests {
             n_runs: 1,
             ..Scenario::default()
         };
-        let prof = export_profile(ProtocolKind::Bmmm, &scenario, 5);
-        let v: serde_json::Value = serde_json::from_str(&prof.profile_json).unwrap();
+        let export = CellExport::run(ProtocolKind::Bmmm, &scenario, 5);
+        let v: serde_json::Value = serde_json::from_str(&export.profile_json()).unwrap();
         assert_eq!(v["protocol"].as_str(), Some("BMMM"));
         assert_eq!(v["seed"].as_u64(), Some(5));
         assert_eq!(v["airtime"]["total_slots"].as_u64(), Some(1_200));
         assert!(v["profile"]["total_ns"].as_u64().unwrap() > 0);
-        assert!(v["dwell"]["contention_slots"].as_u64().is_some());
-        assert!(prof
-            .prom_text
-            .contains("rmm_engine_phase_ns{phase=\"fsm_dispatch\"}"));
-        assert!(prof.prom_text.contains("# TYPE rmm_tx_frames counter"));
-        assert!(prof.prom_text.contains("rmm_dwell_contention_slots"));
-        assert!(prof.human.contains("fsm_dispatch"));
-        assert!(prof.human.contains("collision"));
-        assert!(prof.summary.contains("BMMM seed 5"));
+        // The profile's dwell totals are the metrics' dwell counters.
+        for (state, _) in DWELL {
+            assert_eq!(
+                v["dwell"][format!("{state}_slots").as_str()].as_u64(),
+                Some(export.metrics.counter(&format!("dwell_{state}_slots")))
+            );
+        }
+        assert!(export.metrics.counter("dwell_contention_slots") > 0);
+        let prom = export.prom_text();
+        assert!(prom.contains("rmm_engine_phase_ns{phase=\"fsm_dispatch\"}"));
+        assert!(prom.contains("# TYPE rmm_tx_frames counter"));
+        assert!(prom.contains("rmm_dwell_contention_slots"));
+        let tables = export.profile_tables();
+        assert!(tables.contains("fsm_dispatch"));
+        assert!(tables.contains("collision"));
+        assert!(tables.contains("backoff drawn"));
+        assert!(export.profile_summary().contains("BMMM seed 5"));
+    }
+
+    #[test]
+    fn output_flags_are_accepted_only_where_they_are_written() {
+        const FLAGS: [&str; 5] = [
+            "--trace-out",
+            "--metrics-out",
+            "--profile-out",
+            "--prom-out",
+            "--json",
+        ];
+        let accepted: [(&str, &[&str]); 12] = [
+            (
+                "run --protocol bmmm",
+                &["--trace-out", "--metrics-out", "--profile-out", "--json"],
+            ),
+            ("compare", &["--metrics-out", "--json"]),
+            ("trace --protocol bmmm", &["--trace-out", "--metrics-out"]),
+            (
+                "prof --protocol bmmm",
+                &["--profile-out", "--prom-out", "--json"],
+            ),
+            ("chaos", &["--json"]),
+            ("serve", &[]),
+            ("submit run --protocol bmmm", &[]),
+            ("submit soak", &[]),
+            ("submit metrics", &[]),
+            ("submit shutdown", &[]),
+            ("config", &[]),
+            ("help", &[]),
+        ];
+        for (sub, takes) in accepted {
+            for flag in FLAGS {
+                let value = if flag == "--json" { "" } else { " out.file" };
+                let parsed = parse_args(args(&format!("{sub} {flag}{value}")));
+                if takes.contains(&flag) {
+                    assert!(parsed.is_ok(), "`{sub} {flag}`: {parsed:?}");
+                } else {
+                    assert_eq!(
+                        parsed,
+                        Err(CliError::Unknown(flag.into())),
+                        "`{sub} {flag}` must be rejected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn submit_takes_every_scenario_override_that_run_takes() {
+        let overrides = "--nodes 20 --slots 800 --rate 0.002 --timeout 300 --runs 2 \
+                         --threshold 0.8 --fer 0.1 --faults crash:3@100 \
+                         --churn leave:4@200 --burst-fer 0.05,0.25 --stall-window 500 --seed 4";
+        let Ok(Command::Run { scenario, seed, .. }) =
+            parse_args(args(&format!("run --protocol bmmm {overrides}")))
+        else {
+            panic!("run takes every override");
+        };
+        assert_eq!(scenario.fer, 0.1);
+        assert_eq!(scenario.timing.timeout, 300);
+        assert_eq!(
+            parse_args(args(&format!(
+                "submit run --protocol bmmm --local {overrides}"
+            ))),
+            Ok(Command::Submit {
+                addr: "127.0.0.1:4860".into(),
+                action: SubmitAction::Run {
+                    protocol: ProtocolKind::Bmmm,
+                    scenario: scenario.clone(),
+                    seed,
+                    trace: false,
+                    profile: false,
+                    local: true,
+                },
+            })
+        );
+        match parse_args(args(&format!("submit soak {overrides}"))) {
+            Ok(Command::Submit {
+                action:
+                    SubmitAction::Soak {
+                        scenario: soak,
+                        seed: soak_seed,
+                        ..
+                    },
+                ..
+            }) => {
+                assert_eq!(soak, scenario);
+                assert_eq!(soak_seed, seed);
+            }
+            other => panic!("{other:?}"),
+        }
+        // Overrides are for the actions that run a scenario.
+        assert_eq!(
+            parse_args(args("submit metrics --fer 0.1")),
+            Err(CliError::Unknown("--fer".into()))
+        );
     }
 
     #[test]
@@ -1797,14 +1869,15 @@ mod tests {
             n_runs: 1,
             ..Scenario::default()
         };
-        let export = export_trace(ProtocolKind::Bmmm, &scenario, 5);
-        let trace = rmm::sim::Trace::from_jsonl(&export.jsonl).unwrap();
+        let export = CellExport::run(ProtocolKind::Bmmm, &scenario, 5);
+        let trace = rmm::sim::Trace::from_jsonl(&export.trace.to_jsonl()).unwrap();
         assert!(!trace.events().is_empty());
-        let v: serde_json::Value = serde_json::from_str(&export.metrics_json).unwrap();
+        assert_eq!(trace.events(), export.trace.events());
+        let v: serde_json::Value = serde_json::from_str(&export.metrics_json()).unwrap();
         assert_eq!(v["manifest"]["seed"].as_u64(), Some(5));
         assert_eq!(v["manifest"]["traced"].as_bool(), Some(true));
         assert!(!v["metrics"]["counters"].is_null());
-        assert!(export.summary.contains("BMMM seed 5"));
+        assert!(export.trace_summary().contains("BMMM seed 5"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The `rmm` binary. See [`rmm_cli`] for the command grammar.
 
 use rmm_cli::{
-    compare_metrics_json, export_profile, export_trace, parse_args, render_compare, render_run,
-    replay_repro, repro_json, run_chaos_campaign, Command, SubmitAction, USAGE,
+    compare_metrics_json, parse_args, render_compare, render_run, replay_repro, repro_json,
+    run_chaos_campaign, CellExport, Command, SubmitAction, USAGE,
 };
 
 fn write_file(path: &str, contents: &str) {
@@ -43,20 +43,22 @@ fn main() {
             if !json {
                 println!();
             }
+            if trace_out.is_none() && metrics_out.is_none() && profile_out.is_none() {
+                return;
+            }
+            let export = CellExport::run(protocol, &scenario, seed);
+            if let Some(path) = trace_out.as_deref() {
+                write_file(path, &export.trace.to_jsonl());
+            }
+            if let Some(path) = metrics_out.as_deref() {
+                write_file(path, &export.metrics_json());
+            }
             if trace_out.is_some() || metrics_out.is_some() {
-                let export = export_trace(protocol, &scenario, seed);
-                if let Some(path) = trace_out.as_deref() {
-                    write_file(path, &export.jsonl);
-                }
-                if let Some(path) = metrics_out.as_deref() {
-                    write_file(path, &export.metrics_json);
-                }
-                eprintln!("{}", export.summary);
+                eprintln!("{}", export.trace_summary());
             }
             if let Some(path) = profile_out.as_deref() {
-                let prof = export_profile(protocol, &scenario, seed);
-                write_file(path, &prof.profile_json);
-                eprintln!("{}", prof.summary);
+                write_file(path, &export.profile_json());
+                eprintln!("{}", export.profile_summary());
             }
         }
         Command::Compare {
@@ -81,15 +83,16 @@ fn main() {
             trace_out,
             metrics_out,
         } => {
-            let export = export_trace(protocol, &scenario, seed);
+            let export = CellExport::run(protocol, &scenario, seed);
+            let jsonl = export.trace.to_jsonl();
             match trace_out.as_deref() {
-                Some(path) => write_file(path, &export.jsonl),
-                None => print!("{}", export.jsonl),
+                Some(path) => write_file(path, &jsonl),
+                None => print!("{jsonl}"),
             }
             if let Some(path) = metrics_out.as_deref() {
-                write_file(path, &export.metrics_json);
+                write_file(path, &export.metrics_json());
             }
-            eprintln!("{}", export.summary);
+            eprintln!("{}", export.trace_summary());
         }
         Command::Chaos {
             scenario,
@@ -230,19 +233,20 @@ fn main() {
             profile_out,
             prom_out,
         } => {
-            let prof = export_profile(protocol, &scenario, seed);
+            let export = CellExport::run(protocol, &scenario, seed);
+            let profile_json = export.profile_json();
             if json {
-                println!("{}", prof.profile_json);
+                println!("{profile_json}");
             } else {
-                print!("{}", prof.human);
+                print!("{}", export.profile_tables());
             }
             if let Some(path) = profile_out.as_deref() {
-                write_file(path, &prof.profile_json);
+                write_file(path, &profile_json);
             }
             if let Some(path) = prom_out.as_deref() {
-                write_file(path, &prof.prom_text);
+                write_file(path, &export.prom_text());
             }
-            eprintln!("{}", prof.summary);
+            eprintln!("{}", export.profile_summary());
         }
     }
 }

@@ -200,3 +200,84 @@ fn config_file_roundtrip_through_binary() {
     assert_eq!(v["protocol"], "LAMM");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn one_run_exports_trace_metrics_and_profile() {
+    let dir = std::env::temp_dir().join("rmm_cli_e2e_one_run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let cell = [
+        "--protocol",
+        "bmmm",
+        "--nodes",
+        "30",
+        "--slots",
+        "1500",
+        "--runs",
+        "1",
+        "--seed",
+        "11",
+    ];
+    let out = rmm()
+        .arg("run")
+        .args(cell)
+        .args(["--trace-out", &path("t.jsonl")])
+        .args(["--metrics-out", &path("m.json")])
+        .args(["--profile-out", &path("p.json")])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let traced = rmm().arg("trace").args(cell).output().expect("binary runs");
+    assert!(traced.status.success());
+    let jsonl = std::fs::read(path("t.jsonl")).unwrap();
+    assert!(!jsonl.is_empty());
+    assert!(
+        jsonl == traced.stdout,
+        "run --trace-out differs from trace stdout"
+    );
+    // The metrics carry the dwell totals the profile reports.
+    let read = |name: &str| -> serde_json::Value {
+        serde_json::from_str(&std::fs::read_to_string(path(name)).unwrap()).unwrap()
+    };
+    let (metrics, profile) = (read("m.json"), read("p.json"));
+    let counters = metrics["metrics"]["counters"].as_array().unwrap();
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|c| c["name"] == name)
+            .and_then(|c| c["value"].as_u64())
+    };
+    for state in ["contention", "batch", "ack_wait", "backoff"] {
+        let total = counter(&format!("dwell_{state}_slots"));
+        assert!(total.is_some(), "metrics.json lacks dwell_{state}_slots");
+        assert_eq!(
+            total,
+            profile["dwell"][format!("{state}_slots").as_str()].as_u64()
+        );
+    }
+    assert!(counter("dwell_contention_slots") > Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn submit_run_local_takes_scenario_overrides() {
+    let out = rmm()
+        .args(["submit", "run", "--protocol", "bmmm", "--local"])
+        .args(["--nodes", "20", "--slots", "800"])
+        .args(["--fer", "0.1", "--faults", "crash:3@100"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let result = stdout.lines().last().expect("a Result line");
+    assert!(result.starts_with("{\"Result\""), "{result}");
+    assert!(result.contains("\"fer\":0.1"), "{result}");
+}

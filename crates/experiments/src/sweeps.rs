@@ -15,8 +15,6 @@ use rmm_workload::{run_one, RunResult, Scenario};
 /// One protocol's aggregate at one sweep point.
 #[derive(Debug, Clone)]
 struct Point {
-    #[allow(dead_code)]
-    x: f64,
     degree: Summary,
     delivery: Summary,
     phases: Summary,
@@ -24,7 +22,7 @@ struct Point {
 }
 
 /// Summarizes one cell's seed-ordered runs.
-fn summarize(results: &[RunResult], x: f64) -> Point {
+fn summarize(results: &[RunResult]) -> Point {
     let delivery: Vec<f64> = results
         .iter()
         .map(|r| r.group_metrics.delivery_rate)
@@ -39,7 +37,6 @@ fn summarize(results: &[RunResult], x: f64) -> Point {
         .collect();
     let degree: Vec<f64> = results.iter().map(|r| r.mean_degree).collect();
     Point {
-        x,
         degree: Summary::of(&degree),
         delivery: Summary::of(&delivery),
         phases: Summary::of(&phases),
@@ -135,7 +132,7 @@ fn sweep_and_emit(
     for &x in axis {
         let per_proto: Vec<Point> = PAPER_PROTOCOLS
             .iter()
-            .map(|_| summarize(&runs.next().expect("cell per protocol"), x))
+            .map(|_| summarize(&runs.next().expect("cell per protocol")))
             .collect();
         points.push((x, per_proto));
     }

@@ -679,33 +679,26 @@ fn bmmm_batch_gaps_stay_below_difs() {
 
 #[test]
 fn airtime_split_matches_frame_counters() {
-    // The trace-level airtime accounting and the node-level frame
-    // counters must tell the same story.
+    // The channel's airtime ledger and the node-level frame counters
+    // must tell the same story.
     let run = run_single_multicast(ProtocolKind::Bmmm, 3, 120);
-    let airtime = rmm_sim::airtime_by_kind(run.engine.trace().unwrap().events());
+    let airtime = run
+        .engine
+        .channel()
+        .ledger()
+        .breakdown(run.engine.now())
+        .by_kind;
     let mut counters = rmm_mac::FrameKindCounts::default();
     for node in &run.nodes {
         counters.add(&node.counters().sent_by_kind);
     }
-    assert_eq!(
-        airtime.get(&FrameKind::Rts).copied().unwrap_or(0),
-        counters.rts
-    );
-    assert_eq!(
-        airtime.get(&FrameKind::Cts).copied().unwrap_or(0),
-        counters.cts
-    );
-    assert_eq!(
-        airtime.get(&FrameKind::Rak).copied().unwrap_or(0),
-        counters.rak
-    );
-    assert_eq!(
-        airtime.get(&FrameKind::Ack).copied().unwrap_or(0),
-        counters.ack
-    );
+    assert_eq!(airtime.rts, counters.rts);
+    assert_eq!(airtime.cts, counters.cts);
+    assert_eq!(airtime.rak, counters.rak);
+    assert_eq!(airtime.ack, counters.ack);
     // Data airtime = data frames × 5 slots.
     assert_eq!(
-        airtime.get(&FrameKind::Data).copied().unwrap_or(0),
+        airtime.data,
         counters.data * u64::from(MacTiming::default().data_slots)
     );
 }

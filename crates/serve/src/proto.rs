@@ -24,7 +24,7 @@
 //! flag in place instead of rendering again.
 
 use rmm_mac::ProtocolKind;
-use rmm_sim::TraceEvent;
+use rmm_sim::{Trace, TraceEvent};
 use rmm_stats::ProfileReport;
 use rmm_workload::observe::PhaseTimings;
 use rmm_workload::{run, Probes, RunResult, RunSpec, Scenario};
@@ -137,7 +137,7 @@ pub struct ServeCell {
     /// Canonical run result.
     pub result: RunResult,
     /// Event log, when the producing request asked for a trace.
-    pub trace: Option<Vec<TraceEvent>>,
+    pub trace: Option<Trace>,
     /// Phase-timer report, when the producing request asked for one.
     pub profile: Option<ProfileReport>,
 }
@@ -170,7 +170,7 @@ pub fn compute_cell(
     let out = run(scenario, protocol, seed, &spec);
     ServeCell {
         result: canonical_result(out.result),
-        trace: out.trace.map(|t| t.events().to_vec()),
+        trace: out.trace,
         profile: out.profile,
     }
 }
@@ -181,10 +181,10 @@ pub fn compute_cell(
 /// client oracle recomputes exactly these lines, so byte-identity is by
 /// construction.
 pub fn run_response_lines(id: u64, cell: &ServeCell, cached: bool) -> Vec<String> {
-    let mut lines = Vec::with_capacity(2 + cell.trace.as_ref().map_or(0, Vec::len));
+    let mut lines = Vec::with_capacity(2 + cell.trace.as_ref().map_or(0, |t| t.events().len()));
     lines.push(encode(&Response::Started { id }));
-    if let Some(events) = &cell.trace {
-        for event in events {
+    if let Some(trace) = &cell.trace {
+        for event in trace.events() {
             lines.push(encode(&Response::Event {
                 id,
                 event: event.clone(),
@@ -342,7 +342,7 @@ mod tests {
             ..RunSpec::default()
         };
         let out = run(&s, ProtocolKind::Lamm, 9, &spec);
-        assert_eq!(cell.trace.as_deref().unwrap(), out.trace.unwrap().events());
+        assert_eq!(cell.trace.unwrap().events(), out.trace.unwrap().events());
         assert_eq!(
             serde_json::to_string(&cell.result).unwrap(),
             serde_json::to_string(&canonical_result(out.result)).unwrap()
@@ -355,7 +355,7 @@ mod tests {
         let lines = run_response_lines(4, &cell, false);
         assert!(lines.first().unwrap().contains("\"Started\""));
         assert!(lines.last().unwrap().contains("\"Result\""));
-        assert_eq!(lines.len(), 2 + cell.trace.as_ref().unwrap().len());
+        assert_eq!(lines.len(), 2 + cell.trace.as_ref().unwrap().events().len());
         // The cached replay differs only in the `cached` flag.
         let cached = run_response_lines(4, &cell, true);
         assert_eq!(lines.len(), cached.len());

@@ -49,7 +49,7 @@ use crate::fault::{FaultPlan, GilbertElliott};
 use crate::frame::Frame;
 use crate::ids::{NodeId, Slot};
 use crate::topology::Topology;
-use crate::trace::{EventSink, Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rmm_stats::{Phase, ProfileReport, Profiler};
@@ -95,7 +95,7 @@ pub struct Ctx<'a> {
     /// polls.
     pub frozen_through: Slot,
     out: &'a mut Vec<Frame>,
-    sink: Option<&'a mut dyn EventSink>,
+    trace: Option<&'a mut Trace>,
 }
 
 impl Ctx<'_> {
@@ -108,15 +108,15 @@ impl Ctx<'_> {
 
     /// Whether protocol events are being collected this run.
     pub fn tracing(&self) -> bool {
-        self.sink.is_some()
+        self.trace.is_some()
     }
 
     /// Emits a protocol-phase event. The construction closure only runs
     /// when tracing is enabled, so emission costs one branch otherwise.
     #[inline]
     pub fn emit<F: FnOnce() -> TraceEvent>(&mut self, f: F) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.accept(f());
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(f());
         }
     }
 }
@@ -580,7 +580,7 @@ impl Engine {
                 busy: self.channel.busy_prev_slot(node, now, &self.topo),
                 frozen_through: self.frozen_through[node.index()],
                 out: &mut self.outbox,
-                sink: self.trace.as_mut().map(|t| t as &mut dyn EventSink),
+                trace: self.trace.as_mut(),
             };
             stations[node.index()].on_receive(&rec.frame, rec.captured, &mut ctx);
         }
@@ -656,7 +656,7 @@ impl Engine {
                     busy,
                     frozen_through: self.frozen_through[i],
                     out: &mut self.outbox,
-                    sink: self.trace.as_mut().map(|t| t as &mut dyn EventSink),
+                    trace: self.trace.as_mut(),
                 };
                 station.on_slot(&mut ctx);
                 if dispatch != Dispatch::Full {

@@ -219,28 +219,8 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of trace events. The engine hands MAC entities a sink
-/// (via [`Ctx::emit`](crate::engine::Ctx::emit)) only while tracing is
-/// enabled, so emission is a no-op branch otherwise.
-pub trait EventSink {
-    /// Consumes one event.
-    fn accept(&mut self, ev: TraceEvent);
-}
-
-impl EventSink for Trace {
-    fn accept(&mut self, ev: TraceEvent) {
-        self.push(ev);
-    }
-}
-
-impl EventSink for Vec<TraceEvent> {
-    fn accept(&mut self, ev: TraceEvent) {
-        self.push(ev);
-    }
-}
-
 /// An append-only event log.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
@@ -333,12 +313,10 @@ impl Trace {
 
     /// Serializes the trace as JSON Lines: one event object per line.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&serde_json::to_value(ev).to_string());
-            out.push('\n');
-        }
-        out
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("JSON text is UTF-8")
     }
 
     /// Streams the trace as JSON Lines into `w`.
@@ -364,90 +342,37 @@ impl Trace {
     }
 }
 
-/// Airtime occupied by transmissions in `events`, broken down by frame
-/// kind (slots).
-///
-/// Implemented by replaying the trace's `TxStart` events into an
-/// [`AirtimeLedger`](crate::AirtimeLedger), so the trace-derived view
-/// and the channel's live ledger share one accounting definition. Kinds
-/// with no airtime are omitted from the map.
-pub fn airtime_by_kind(events: &[TraceEvent]) -> std::collections::HashMap<FrameKind, u64> {
-    let mut ledger = crate::AirtimeLedger::new();
-    for ev in events {
-        if let TraceEvent::TxStart {
-            slot, kind, slots, ..
-        } = ev
-        {
-            ledger.mark_tx(*kind, *slot, slot + Slot::from(*slots));
-        }
-    }
-    let per_kind = ledger.kind_slots();
-    FrameKind::ALL
-        .iter()
-        .filter(|k| per_kind[k.index()] > 0)
-        .map(|&k| (k, per_kind[k.index()]))
-        .collect()
-}
-
-/// The transmissions of one station within `[from, to)`, as
-/// `(start, end)` slot intervals sorted by start.
-pub fn tx_intervals_of(
-    events: &[TraceEvent],
-    node: NodeId,
-    from: Slot,
-    to: Slot,
-) -> Vec<(Slot, Slot)> {
-    let mut out: Vec<(Slot, Slot)> = events
-        .iter()
-        .filter_map(|ev| match ev {
-            TraceEvent::TxStart {
-                slot,
-                node: n,
-                slots,
-                ..
-            } if *n == node && *slot >= from && *slot < to => {
-                Some((*slot, slot + Slot::from(*slots)))
-            }
-            _ => None,
-        })
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// The largest medium-idle gap (slots) between *any* consecutive
-/// transmissions in `[from, to)`, considering every station. Returns 0
-/// if fewer than two transmissions fall in the window.
-///
-/// This is the measurement behind the paper's co-existence invariant:
-/// inside a BMMM batch the gap never reaches DIFS, so no bystander's
-/// backoff can complete.
-pub fn max_idle_gap(events: &[TraceEvent], from: Slot, to: Slot) -> u64 {
+/// The medium-idle gaps (slots) between consecutive transmissions
+/// starting in `[from, to)`, considering every station, in time order:
+/// each is the distance from the end of everything already on the air
+/// to the next start. Overlapping transmissions leave no gap.
+pub fn idle_gaps(events: &[TraceEvent], from: Slot, to: Slot) -> impl Iterator<Item = u64> {
     let mut intervals: Vec<(Slot, Slot)> = events
         .iter()
         .filter_map(|ev| match ev {
-            TraceEvent::TxStart { slot, slots, .. } if *slot >= from && *slot < to => {
+            TraceEvent::TxStart { slot, slots, .. } if (from..to).contains(slot) => {
                 Some((*slot, slot + Slot::from(*slots)))
             }
             _ => None,
         })
         .collect();
     intervals.sort_unstable();
-    let mut max_gap = 0u64;
-    let mut busy_until = match intervals.first() {
-        Some(&(s, e)) => {
-            let _ = s;
-            e
-        }
-        None => return 0,
-    };
-    for &(s, e) in &intervals[1..] {
-        if s > busy_until {
-            max_gap = max_gap.max(s - busy_until);
-        }
-        busy_until = busy_until.max(e);
-    }
-    max_gap
+    let mut busy_until: Option<Slot> = None;
+    intervals.into_iter().filter_map(move |(s, e)| {
+        let gap = busy_until.filter(|&until| s > until).map(|until| s - until);
+        busy_until = Some(busy_until.map_or(e, |until| until.max(e)));
+        gap
+    })
+}
+
+/// The largest of the [`idle_gaps`] in `[from, to)`; 0 if fewer than
+/// two transmissions fall in the window.
+///
+/// This is the measurement behind the paper's co-existence invariant:
+/// inside a BMMM batch the gap never reaches DIFS, so no bystander's
+/// backoff can complete.
+pub fn max_idle_gap(events: &[TraceEvent], from: Slot, to: Slot) -> u64 {
+    idle_gaps(events, from, to).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -479,25 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn airtime_accounting() {
-        let mut tr = Trace::new();
-        let msg = MsgId::new(NodeId(0), 0);
-        tr.tx_start(
-            0,
-            &Frame::control(FrameKind::Rts, NodeId(0), Dest::Node(NodeId(1)), 0, msg),
-        );
-        tr.tx_start(2, &Frame::data(NodeId(0), Dest::Node(NodeId(1)), 0, msg, 5));
-        tr.tx_start(
-            8,
-            &Frame::control(FrameKind::Ack, NodeId(1), Dest::Node(NodeId(0)), 0, msg),
-        );
-        let airtime = airtime_by_kind(tr.events());
-        assert_eq!(airtime[&FrameKind::Rts], 1);
-        assert_eq!(airtime[&FrameKind::Data], 5);
-        assert_eq!(airtime[&FrameKind::Ack], 1);
-    }
-
-    #[test]
     fn idle_gap_measurement() {
         let mut tr = Trace::new();
         let msg = MsgId::new(NodeId(0), 0);
@@ -516,30 +422,6 @@ mod tests {
         assert_eq!(max_idle_gap(tr.events(), 0, 9), 1);
         assert_eq!(max_idle_gap(tr.events(), 0, 1), 0);
         assert_eq!(max_idle_gap(&[], 0, 10), 0);
-    }
-
-    #[test]
-    fn interval_extraction_is_per_node_and_sorted() {
-        let mut tr = Trace::new();
-        let msg = MsgId::new(NodeId(0), 0);
-        tr.tx_start(
-            5,
-            &Frame::control(FrameKind::Cts, NodeId(1), Dest::Node(NodeId(0)), 0, msg),
-        );
-        tr.tx_start(
-            1,
-            &Frame::control(FrameKind::Rts, NodeId(0), Dest::Node(NodeId(1)), 0, msg),
-        );
-        tr.tx_start(
-            8,
-            &Frame::control(FrameKind::Rak, NodeId(0), Dest::Node(NodeId(1)), 0, msg),
-        );
-        assert_eq!(
-            tx_intervals_of(tr.events(), NodeId(0), 0, 20),
-            vec![(1, 2), (8, 9)]
-        );
-        assert_eq!(tx_intervals_of(tr.events(), NodeId(1), 0, 20), vec![(5, 6)]);
-        assert_eq!(tx_intervals_of(tr.events(), NodeId(0), 0, 5), vec![(1, 2)]);
     }
 
     #[test]

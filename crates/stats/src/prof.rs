@@ -4,7 +4,7 @@
 //! (nanoseconds + call counts) that the engine laps through as it steps.
 //! The engine holds it behind an `Option<Box<Profiler>>`, so a disabled
 //! profiler costs one branch per phase boundary — the same
-//! zero-cost-when-off contract as the trace `EventSink`.
+//! zero-cost-when-off contract as the engine's optional event trace.
 //!
 //! An enabled profiler is a **deterministic sampling profiler**: it
 //! times the phases of every `stride`-th unit (engine slot or fast-path

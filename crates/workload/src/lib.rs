@@ -44,9 +44,7 @@ pub use chaos::{
 };
 pub use churn::{ChurnEvent, ChurnKind, ChurnPlan, EpochMetrics};
 pub use mobility::{MobilityConfig, RandomWaypoint};
-pub use observe::{
-    collect_dwell, collect_metrics, DwellReport, PhaseTimings, RunManifest, StationDwell,
-};
+pub use observe::{collect_metrics, PhaseTimings, RunManifest};
 pub use placement::uniform_square;
 pub use runner::{
     mean_group_metrics, run, run_many, run_many_jobs, run_one, run_one_naive, run_one_profiled,

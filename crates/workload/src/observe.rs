@@ -3,9 +3,10 @@
 
 use crate::scenario::Scenario;
 use rmm_mac::ProtocolKind;
-use rmm_sim::{FrameKind, NodeId, Slot, TraceEvent};
-use rmm_stats::{Histogram, MetricsRegistry};
+use rmm_sim::{idle_gaps, FrameKind, NodeId, Slot, TraceEvent};
+use rmm_stats::MetricsRegistry;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Wall-clock spent in each phase of one run, in microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -43,8 +44,36 @@ pub struct RunManifest {
     pub wall_clock: PhaseTimings,
 }
 
-/// Derives counters and histograms from a run's event trace and its
-/// per-message records.
+/// One FSM dwell state: its network-wide total counter, its
+/// episode-length histogram, and that histogram's range `[0, hi)` in
+/// `bins` bins.
+struct Dwell(&'static str, &'static str, f64, usize);
+
+const CONTENTION: Dwell = Dwell("dwell_contention_slots", "dwell_contention", 64.0, 32);
+const BATCH: Dwell = Dwell("dwell_batch_slots", "dwell_batch", 128.0, 32);
+const ACK_WAIT: Dwell = Dwell("dwell_ack_wait_slots", "dwell_ack_wait", 32.0, 16);
+const BACKOFF: Dwell = Dwell("dwell_backoff_slots", "dwell_backoff", 16.0, 16);
+
+impl Dwell {
+    fn record(&self, reg: &mut MetricsRegistry, slots: u64) {
+        reg.add(self.0, slots);
+        reg.histogram_mut(self.1, 0.0, self.2, self.3)
+            .record(slots as f64);
+    }
+}
+
+/// A station's dwell episodes still waiting for their closing event.
+#[derive(Default)]
+struct Open {
+    contention: Option<Slot>,
+    batch: Option<Slot>,
+    /// The outstanding RAK and its target: at most one per poller in
+    /// every protocol here.
+    rak: Option<(Slot, NodeId)>,
+}
+
+/// Folds a run's event trace and its per-message records into one
+/// metrics registry, in one pass over the events.
 ///
 /// Counters: `tx_frames`, `rx_ok`, `collisions`, `contention_starts`,
 /// `contention_wins`, `retries`, `nav_defers`, `polls_rts`, `polls_rak`,
@@ -53,228 +82,125 @@ pub struct RunManifest {
 /// Histograms: `contention_phases_per_msg`, `batch_len`, `idle_gap`
 /// (slots between consecutive transmissions anywhere in the network),
 /// `ack_coverage_per_round` (fraction of the polled batch that ACKed).
+///
+/// FSM dwell, where the senders' slots went while serving messages
+/// (BMW's repeated contention shows up as contention dwell, BMMM's
+/// serialized RAK/ACK trains as ack-wait dwell): the network-wide
+/// totals `dwell_{contention,batch,ack_wait,backoff}_slots` and the
+/// episode-length histograms `dwell_{contention,batch,ack_wait,backoff}`,
+/// present even when empty. Episodes are matched per station: a
+/// `ContentionStart` opens a contention episode closed by the station's
+/// next `ContentionEnd`; `BatchStart`/`BatchEnd` likewise; a RAK
+/// `PollSent` opens an ack-wait closed by the ACK's `RxOk` at the poller
+/// (from the polled target) or by `AckMissed`. Each `ContentionStart`'s
+/// backoff draw is one backoff episode. Episodes still open at trace end
+/// are dropped (their dwell is unknowable).
 pub fn collect_metrics(
     events: &[TraceEvent],
     messages: &[rmm_stats::MessageMetric],
 ) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
-    let mut intervals: Vec<(Slot, Slot)> = Vec::new();
+    for d in [CONTENTION, BATCH, ACK_WAIT, BACKOFF] {
+        reg.add(d.0, 0);
+        reg.histogram_mut(d.1, 0.0, d.2, d.3);
+    }
+    let mut open: HashMap<NodeId, Open> = HashMap::new();
     for ev in events {
         match ev {
-            TraceEvent::TxStart { slot, slots, .. } => {
-                reg.inc("tx_frames");
-                intervals.push((*slot, slot + Slot::from(*slots)));
+            TraceEvent::TxStart { .. } => reg.inc("tx_frames"),
+            TraceEvent::RxOk {
+                slot,
+                node,
+                from,
+                kind,
+                ..
+            } => {
+                reg.inc("rx_ok");
+                if *kind == FrameKind::Ack {
+                    let rak = &mut open.entry(*node).or_default().rak;
+                    if let Some((start, _)) = rak.take_if(|r| r.1 == *from) {
+                        ACK_WAIT.record(&mut reg, slot.saturating_sub(start));
+                    }
+                }
             }
-            TraceEvent::RxOk { .. } => reg.inc("rx_ok"),
             TraceEvent::Collision { .. } => reg.inc("collisions"),
-            TraceEvent::ContentionStart { .. } => reg.inc("contention_starts"),
-            TraceEvent::ContentionEnd { .. } => reg.inc("contention_wins"),
+            TraceEvent::ContentionStart {
+                slot,
+                node,
+                backoff_slots,
+                ..
+            } => {
+                reg.inc("contention_starts");
+                open.entry(*node).or_default().contention = Some(*slot);
+                BACKOFF.record(&mut reg, u64::from(*backoff_slots));
+            }
+            TraceEvent::ContentionEnd { slot, node, .. } => {
+                reg.inc("contention_wins");
+                if let Some(start) = open.entry(*node).or_default().contention.take() {
+                    CONTENTION.record(&mut reg, slot.saturating_sub(start));
+                }
+            }
             TraceEvent::Retry { .. } => reg.inc("retries"),
             TraceEvent::NavDefer { .. } => reg.inc("nav_defers"),
-            TraceEvent::PollSent { kind, .. } => {
-                reg.inc(if *kind == FrameKind::Rak {
-                    "polls_rak"
+            TraceEvent::PollSent {
+                slot,
+                node,
+                kind,
+                target,
+                ..
+            } => {
+                if *kind == FrameKind::Rak {
+                    reg.inc("polls_rak");
+                    open.entry(*node).or_default().rak = Some((*slot, *target));
                 } else {
-                    "polls_rts"
-                });
+                    reg.inc("polls_rts");
+                }
             }
-            TraceEvent::AckMissed { .. } => reg.inc("acks_missed"),
-            TraceEvent::BatchStart { batch, .. } => {
+            TraceEvent::AckMissed {
+                slot, node, target, ..
+            } => {
+                reg.inc("acks_missed");
+                let rak = &mut open.entry(*node).or_default().rak;
+                if let Some((start, _)) = rak.take_if(|r| r.1 == *target) {
+                    ACK_WAIT.record(&mut reg, slot.saturating_sub(start));
+                }
+            }
+            TraceEvent::BatchStart {
+                slot, node, batch, ..
+            } => {
                 reg.inc("batches");
                 reg.histogram_mut("batch_len", 0.0, 32.0, 32)
                     .record(batch.len() as f64);
+                open.entry(*node).or_default().batch = Some(*slot);
             }
-            TraceEvent::BatchEnd { batch, acked, .. } => {
+            TraceEvent::BatchEnd {
+                slot,
+                node,
+                batch,
+                acked,
+                ..
+            } => {
                 if !batch.is_empty() {
                     reg.histogram_mut("ack_coverage_per_round", 0.0, 1.1, 11)
                         .record(acked.len() as f64 / batch.len() as f64);
+                }
+                if let Some(start) = open.entry(*node).or_default().batch.take() {
+                    BATCH.record(&mut reg, slot.saturating_sub(start));
                 }
             }
             TraceEvent::CoverSetComputed { .. } => reg.inc("cover_sets"),
             TraceEvent::GiveUp { .. } => reg.inc("give_ups"),
         }
     }
-    // Medium-idle gaps between consecutive transmissions, network-wide.
-    intervals.sort_unstable();
-    let mut busy_until = None;
-    for &(s, e) in &intervals {
-        if let Some(until) = busy_until {
-            if s > until {
-                reg.histogram_mut("idle_gap", 0.0, 16.0, 16)
-                    .record((s - until) as f64);
-            }
-        }
-        busy_until = Some(busy_until.map_or(e, |u: Slot| u.max(e)));
+    for gap in idle_gaps(events, 0, Slot::MAX) {
+        reg.histogram_mut("idle_gap", 0.0, 16.0, 16)
+            .record(gap as f64);
     }
     for m in messages {
         reg.histogram_mut("contention_phases_per_msg", 0.0, 16.0, 16)
             .record(f64::from(m.contention_phases));
     }
     reg
-}
-
-/// Per-station totals of slots spent in each FSM dwell state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StationDwell {
-    /// Slots spent contending for the medium (ContentionStart →
-    /// ContentionEnd), including DIFS waits and backoff countdowns.
-    pub contention_slots: u64,
-    /// Slots spent inside poll trains / batch service (BatchStart →
-    /// BatchEnd).
-    pub batch_slots: u64,
-    /// Slots spent waiting for an ACK after a RAK poll (PollSent(RAK) →
-    /// the ACK's arrival, or the AckMissed verdict).
-    pub ack_wait_slots: u64,
-    /// Backoff slots drawn across all contention attempts.
-    pub backoff_slots: u64,
-}
-
-/// Per-station FSM dwell-time attribution derived from an event trace:
-/// where each sender's slots went while serving messages. Makes
-/// busy-network slowness attributable — e.g. BMW's repeated contention
-/// phases show up as contention dwell, BMMM's serialized RAK/ACK trains
-/// as ack-wait dwell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DwellReport {
-    /// Totals per station, indexed by `NodeId`.
-    pub stations: Vec<StationDwell>,
-    /// Distribution of single contention-episode lengths (slots),
-    /// network-wide.
-    pub contention: Histogram,
-    /// Distribution of single batch/poll-train lengths (slots).
-    pub batch: Histogram,
-    /// Distribution of single RAK→ACK waits (slots).
-    pub ack_wait: Histogram,
-    /// Distribution of per-attempt backoff draws (slots).
-    pub backoff: Histogram,
-}
-
-impl DwellReport {
-    /// Network-wide totals, summed over stations.
-    pub fn network_totals(&self) -> StationDwell {
-        let mut sum = StationDwell::default();
-        for s in &self.stations {
-            sum.contention_slots += s.contention_slots;
-            sum.batch_slots += s.batch_slots;
-            sum.ack_wait_slots += s.ack_wait_slots;
-            sum.backoff_slots += s.backoff_slots;
-        }
-        sum
-    }
-
-    /// Exports the report as a metrics registry: `dwell_*_slots`
-    /// counters for the network totals plus the four episode-length
-    /// histograms, ready for Prometheus rendering or exact cross-run
-    /// merging.
-    pub fn to_registry(&self) -> MetricsRegistry {
-        fn put(reg: &mut MetricsRegistry, name: &str, h: &Histogram) {
-            let n = h.bins().len();
-            reg.histogram_mut(name, h.bin_lo(0), h.bin_lo(n), n)
-                .merge(h);
-        }
-        let mut reg = MetricsRegistry::new();
-        let t = self.network_totals();
-        reg.add("dwell_contention_slots", t.contention_slots);
-        reg.add("dwell_batch_slots", t.batch_slots);
-        reg.add("dwell_ack_wait_slots", t.ack_wait_slots);
-        reg.add("dwell_backoff_slots", t.backoff_slots);
-        put(&mut reg, "dwell_contention", &self.contention);
-        put(&mut reg, "dwell_batch", &self.batch);
-        put(&mut reg, "dwell_ack_wait", &self.ack_wait);
-        put(&mut reg, "dwell_backoff", &self.backoff);
-        reg
-    }
-}
-
-/// Derives per-station FSM dwell times from a run's event trace.
-///
-/// Episodes are matched per station: a `ContentionStart` opens a
-/// contention episode closed by the next `ContentionEnd` of the same
-/// station; `BatchStart`/`BatchEnd` likewise; a RAK `PollSent` opens an
-/// ack-wait closed by the ACK's `RxOk` at the poller (from the polled
-/// target) or by `AckMissed`. Unclosed episodes at trace end are
-/// dropped (their dwell is unknowable).
-pub fn collect_dwell(events: &[TraceEvent], n_nodes: usize) -> DwellReport {
-    let mut report = DwellReport {
-        stations: vec![StationDwell::default(); n_nodes],
-        contention: Histogram::new(0.0, 64.0, 32),
-        batch: Histogram::new(0.0, 128.0, 32),
-        ack_wait: Histogram::new(0.0, 32.0, 16),
-        backoff: Histogram::new(0.0, 16.0, 16),
-    };
-    let mut contention_open: Vec<Option<Slot>> = vec![None; n_nodes];
-    let mut batch_open: Vec<Option<Slot>> = vec![None; n_nodes];
-    // At most one outstanding RAK per poller in every protocol here.
-    let mut rak_open: Vec<Option<(Slot, NodeId)>> = vec![None; n_nodes];
-    let close = |open: &mut Option<Slot>, end: Slot| open.take().map(|s| end.saturating_sub(s));
-    for ev in events {
-        match ev {
-            TraceEvent::ContentionStart {
-                slot,
-                node,
-                backoff_slots,
-                ..
-            } if node.index() < n_nodes => {
-                contention_open[node.index()] = Some(*slot);
-                report.stations[node.index()].backoff_slots += u64::from(*backoff_slots);
-                report.backoff.record(f64::from(*backoff_slots));
-            }
-            TraceEvent::ContentionEnd { slot, node, .. } if node.index() < n_nodes => {
-                if let Some(d) = close(&mut contention_open[node.index()], *slot) {
-                    report.stations[node.index()].contention_slots += d;
-                    report.contention.record(d as f64);
-                }
-            }
-            TraceEvent::BatchStart { slot, node, .. } if node.index() < n_nodes => {
-                batch_open[node.index()] = Some(*slot);
-            }
-            TraceEvent::BatchEnd { slot, node, .. } if node.index() < n_nodes => {
-                if let Some(d) = close(&mut batch_open[node.index()], *slot) {
-                    report.stations[node.index()].batch_slots += d;
-                    report.batch.record(d as f64);
-                }
-            }
-            TraceEvent::PollSent {
-                slot,
-                node,
-                kind: FrameKind::Rak,
-                target,
-                ..
-            } if node.index() < n_nodes => {
-                rak_open[node.index()] = Some((*slot, *target));
-            }
-            TraceEvent::RxOk {
-                slot,
-                node,
-                from,
-                kind: FrameKind::Ack,
-                ..
-            } if node.index() < n_nodes => {
-                if let Some((start, target)) = rak_open[node.index()] {
-                    if target == *from {
-                        rak_open[node.index()] = None;
-                        let d = slot.saturating_sub(start);
-                        report.stations[node.index()].ack_wait_slots += d;
-                        report.ack_wait.record(d as f64);
-                    }
-                }
-            }
-            TraceEvent::AckMissed {
-                slot, node, target, ..
-            } if node.index() < n_nodes => {
-                if let Some((start, polled)) = rak_open[node.index()] {
-                    if polled == *target {
-                        rak_open[node.index()] = None;
-                        let d = slot.saturating_sub(start);
-                        report.stations[node.index()].ack_wait_slots += d;
-                        report.ack_wait.record(d as f64);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    report
 }
 
 #[cfg(test)]
@@ -439,25 +365,27 @@ mod tests {
                 target: NodeId(1),
             },
         ];
-        let d = collect_dwell(&events, 3);
-        assert_eq!(d.stations[0].contention_slots, 7);
-        assert_eq!(d.stations[0].backoff_slots, 3);
-        assert_eq!(d.stations[0].batch_slots, 11);
-        assert_eq!(d.stations[0].ack_wait_slots, 2);
-        assert_eq!(d.stations[2].ack_wait_slots, 4);
-        assert_eq!(d.stations[1], StationDwell::default());
-        assert_eq!(d.contention.count(), 1);
-        assert_eq!(d.batch.count(), 1);
-        assert_eq!(d.ack_wait.count(), 2);
-        assert_eq!(d.backoff.count(), 1);
-        let totals = d.network_totals();
-        assert_eq!(totals.ack_wait_slots, 6);
-        assert_eq!(totals.contention_slots, 7);
-        let reg = d.to_registry();
-        assert_eq!(reg.counter("dwell_ack_wait_slots"), 6);
+        let reg = collect_metrics(&events, &[]);
         assert_eq!(reg.counter("dwell_contention_slots"), 7);
-        assert_eq!(reg.histogram("dwell_ack_wait").unwrap().count(), 2);
-        assert_eq!(reg.histogram("dwell_backoff").unwrap().count(), 1);
+        assert_eq!(reg.counter("dwell_backoff_slots"), 3);
+        assert_eq!(reg.counter("dwell_batch_slots"), 11);
+        // Station 0 waited 2 slots for its ACK, station 2 waited 4 for
+        // the miss verdict: each RAK is closed at its own poller.
+        assert_eq!(reg.counter("dwell_ack_wait_slots"), 6);
+        // One episode each, in the bin its length falls in.
+        for (name, bin) in [
+            ("dwell_contention", 3),
+            ("dwell_batch", 2),
+            ("dwell_backoff", 3),
+        ] {
+            let h = reg.histogram(name).unwrap();
+            assert_eq!((h.count(), h.bins()[bin]), (1, 1), "{name}");
+        }
+        let ack_wait = reg.histogram("dwell_ack_wait").unwrap();
+        assert_eq!(
+            (ack_wait.count(), ack_wait.bins()[1], ack_wait.bins()[2]),
+            (2, 1, 1)
+        );
     }
 
     #[test]
@@ -487,13 +415,26 @@ mod tests {
                 captured: false,
             },
         ];
-        let d = collect_dwell(&events, 2);
-        assert_eq!(d.stations[0].contention_slots, 0);
-        assert_eq!(d.stations[0].ack_wait_slots, 0);
+        let reg = collect_metrics(&events, &[]);
+        assert_eq!(reg.counter("dwell_contention_slots"), 0);
+        assert_eq!(reg.counter("dwell_ack_wait_slots"), 0);
         // The backoff draw is still counted: it happened at start.
-        assert_eq!(d.stations[0].backoff_slots, 2);
-        assert_eq!(d.contention.count(), 0);
-        assert_eq!(d.ack_wait.count(), 0);
+        assert_eq!(reg.counter("dwell_backoff_slots"), 2);
+        assert_eq!(reg.histogram("dwell_contention").unwrap().count(), 0);
+        assert_eq!(reg.histogram("dwell_ack_wait").unwrap().count(), 0);
+        // Every dwell entry exists even when a run has no episodes.
+        let empty = collect_metrics(&[], &[]);
+        let counters: Vec<&str> = empty.counters().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            counters,
+            [
+                "dwell_ack_wait_slots",
+                "dwell_backoff_slots",
+                "dwell_batch_slots",
+                "dwell_contention_slots"
+            ]
+        );
+        assert_eq!(empty.histograms().len(), 4);
     }
 
     #[test]
