@@ -168,12 +168,12 @@ impl Manifest {
         let mut spans = Vec::with_capacity(preserved.len());
         for (id, result) in preserved {
             let line = entry_line(id, result);
-            writeln!(out, "{line}")?;
+            out.write_all(line.as_bytes())?;
             spans.push(EntrySpan {
                 offset: end,
-                len: line.len() as u64,
+                len: line.len() as u64 - 1,
             });
-            end += line.len() as u64 + 1;
+            end += line.len() as u64;
         }
         let file = out.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
@@ -203,19 +203,16 @@ impl Manifest {
         let mut writer = self.writer.lock().expect("manifest writer poisoned");
         let Writer { file, end } = &mut *writer;
         let offset = *end;
-        let written = file
-            .write_all(line.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.flush());
+        let written = file.write_all(line.as_bytes()).and_then(|()| file.flush());
         if let Err(e) = written {
             let _ = file.set_len(offset);
             let _ = file.seek(SeekFrom::Start(offset));
             return Err(e);
         }
-        *end += line.len() as u64 + 1;
+        *end += line.len() as u64;
         Ok(EntrySpan {
             offset,
-            len: line.len() as u64,
+            len: line.len() as u64 - 1,
         })
     }
 
@@ -304,13 +301,24 @@ fn entry_digest(id: &JobId, result_json: &str) -> String {
     hex(h.finish())
 }
 
+/// One entry line, its newline included: the text the derived [`Entry`]
+/// serializes to, written straight into one buffer sized for it. The
+/// result is escaped into place, never copied first; JSON text grows by
+/// about a fifth when escaped (its quotes and newlines), so a quarter
+/// is reserved.
 fn entry_line(id: &JobId, result_json: &str) -> String {
-    let entry = Entry {
-        id: id.clone(),
-        digest: entry_digest(id, result_json),
-        result: result_json.to_string(),
-    };
-    serde_json::to_string(&entry).expect("entry serializes")
+    let digest = entry_digest(id, result_json);
+    let mut line = String::with_capacity(
+        64 + id.experiment.len() + id.point.len() + digest.len() + result_json.len() * 5 / 4,
+    );
+    line.push_str("{\"id\":");
+    id.write_json(&mut line);
+    line.push_str(",\"digest\":");
+    digest.write_json(&mut line);
+    line.push_str(",\"result\":");
+    result_json.write_json(&mut line);
+    line.push_str("}\n");
+    line
 }
 
 #[cfg(test)]
@@ -332,6 +340,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn entry_lines_are_the_derived_entry_text() {
+        let results = [
+            String::new(),
+            "{\"v\":1}".to_string(),
+            "{\"s\":\"a\\\"b\\\\c\\n\"}\n{\"t\":\"é€😀\\u0001\"}\n".to_string(),
+            "\u{0}\u{1f}\t\r\u{8}\u{c}".to_string(),
+        ];
+        for (seed, result) in results.iter().enumerate() {
+            let id = JobId::new("ext_fer", format!("fer=0.05/\"{seed}\""), seed as u64);
+            let entry = Entry {
+                id: id.clone(),
+                digest: entry_digest(&id, result),
+                result: result.clone(),
+            };
+            let want = serde_json::to_value(&entry).to_string() + "\n";
+            assert_eq!(entry_line(&id, result), want);
+        }
     }
 
     #[test]

@@ -216,6 +216,13 @@ const ID_FIELD: &str = "\":{\"id\":";
 const FRESH: &str = ",\"cached\":false";
 const CACHED: &str = ",\"cached\":true";
 
+/// Room reserved for a rendered stream's `Result` line and for each of
+/// its `Event` lines: a Table 2 cell's run 17–20 KB and 100–103 bytes.
+/// Pages reserved but never written are not resident, and the text is
+/// trimmed to its length once written.
+const RESULT_LINE_BYTES: usize = 24 << 10;
+const EVENT_LINE_BYTES: usize = 128;
+
 /// A cell's response stream rendered once: the lines of
 /// [`run_response_lines`] for the placeholder id 0 and `"cached":false`,
 /// each ending in `\n`, plus where each line's id sits. The cache stores
@@ -228,14 +235,48 @@ pub struct Rendered {
 }
 
 impl Rendered {
-    /// Renders `cell`'s response stream.
+    /// Renders `cell`'s response stream straight into one buffer,
+    /// recording each line's id offset as it goes. Each line is written
+    /// as the derived [`Response`] serializes it, with every payload
+    /// borrowed from `cell` rather than cloned into a `Response`.
     pub fn render(cell: &ServeCell) -> Rendered {
-        let mut text = String::new();
-        for line in run_response_lines(0, cell, false) {
-            text.push_str(&line);
-            text.push('\n');
+        let events = cell.trace.as_ref().map_or(&[][..], Trace::events);
+        let mut out = Rendered {
+            text: String::with_capacity(RESULT_LINE_BYTES + events.len() * EVENT_LINE_BYTES),
+            ids: Vec::with_capacity(events.len() + 3),
+        };
+        out.line("Started", |_| {});
+        for event in events {
+            out.line("Event", |text| {
+                text.push_str(",\"event\":");
+                event.write_json(text);
+            });
         }
-        Rendered::parse(text).expect("response lines have the splice shape")
+        if let Some(profile) = &cell.profile {
+            out.line("Profile", |text| {
+                text.push_str(",\"profile\":");
+                profile.write_json(text);
+            });
+        }
+        out.line("Result", |text| {
+            text.push_str(FRESH);
+            text.push_str(",\"result\":");
+            cell.result.write_json(text);
+        });
+        out.text.shrink_to_fit();
+        out
+    }
+
+    /// Appends `{"<variant>":{"id":0`, the rest of the variant's fields
+    /// as `fields` writes them, and `}}\n`.
+    fn line(&mut self, variant: &str, fields: impl FnOnce(&mut String)) {
+        self.text.push_str("{\"");
+        self.text.push_str(variant);
+        self.text.push_str(ID_FIELD);
+        self.ids.push(self.text.len());
+        self.text.push('0');
+        fields(&mut self.text);
+        self.text.push_str("}}\n");
     }
 
     /// Takes `text` back as a rendered stream: every line must read

@@ -77,7 +77,7 @@ fn spliced_streams_match_the_renderer() {
     let disk = CacheStore::open(Some(&tmp_cache("splice")), 7).unwrap();
     let s = tiny();
     for protocol in ProtocolKind::EVERY {
-        for (trace, profile) in [(false, false), (true, false), (false, true)] {
+        for (trace, profile) in [(false, false), (true, false), (false, true), (true, true)] {
             let cell = compute_cell(&s, protocol, 11, trace, profile);
             let rendered = Rendered::render(&cell);
             assert_eq!(

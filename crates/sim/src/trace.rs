@@ -319,10 +319,15 @@ impl Trace {
         String::from_utf8(out).expect("JSON text is UTF-8")
     }
 
-    /// Streams the trace as JSON Lines into `w`.
+    /// Streams the trace as JSON Lines into `w`, each event written
+    /// straight into one reused line buffer.
     pub fn write_jsonl<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
+        let mut line = String::new();
         for ev in &self.events {
-            writeln!(w, "{}", serde_json::to_value(ev))?;
+            line.clear();
+            ev.write_json(&mut line);
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
         }
         Ok(())
     }
