@@ -141,7 +141,8 @@ pub enum Command {
         max_conns: usize,
         /// Bounded engine-queue depth (TCP backpressure threshold).
         queue_cap: usize,
-        /// On-disk result cache (manifest format); memory-only if absent.
+        /// On-disk result cache, a directory holding one file per cached
+        /// cell; memory-only if absent.
         cache: Option<String>,
     },
     /// Talk to a running daemon.
@@ -1120,7 +1121,7 @@ usage:
   rmm chaos [options]     # randomized fault/churn/burst schedules checked
                           # against invariants, failures shrunk to a repro
   rmm serve [--addr H:P] [--jobs N] [--max-conns N] [--queue-cap N]
-            [--cache f.jsonl]   # long-lived daemon: JSONL requests over TCP,
+            [--cache DIR]       # long-lived daemon: JSONL requests over TCP,
                                 # streamed traces, content-addressed cache
   rmm submit run --protocol <name> [--seed N] [--trace] [--profile]
              [--local] [--addr H:P] [scenario overrides]

@@ -42,7 +42,7 @@ pub mod sweep;
 
 pub use digest::{fnv1a, hex, Fnv1a};
 pub use id::JobId;
-pub use manifest::{EntrySpan, Manifest, ManifestError, ManifestHeader, MANIFEST_VERSION};
+pub use manifest::{Manifest, ManifestError, ManifestHeader, MANIFEST_VERSION};
 pub use pool::{resolve_workers, run_parallel};
 pub use progress::Progress;
 pub use service::{JobTicket, ServicePool};

@@ -8,17 +8,12 @@
 //! [`Manifest::load`] tolerates by dropping it. A manifest whose header
 //! does not match the sweep being run (options changed, different grid)
 //! is *stale* and is rejected rather than silently merged.
-//!
-//! An open manifest also reads single entries back by position: an
-//! append reports the [`EntrySpan`] it landed at, and
-//! [`Manifest::read_entry`] re-reads and re-checks that one line. The
-//! serve cache keeps only these spans in memory.
 
 use crate::digest::hex;
 use crate::id::JobId;
 use serde::{Deserialize, Serialize};
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -113,20 +108,10 @@ impl From<std::io::Error> for ManifestError {
     }
 }
 
-/// Where one entry line sits in a manifest file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntrySpan {
-    /// Byte offset of the line's first byte.
-    pub offset: u64,
-    /// Length of the line in bytes, its newline excluded.
-    pub len: u64,
-}
-
 /// An open manifest being appended to by the running sweep.
 pub struct Manifest {
     path: PathBuf,
     writer: Mutex<Writer>,
-    reader: Mutex<File>,
 }
 
 /// The append handle and the file length it has written.
@@ -145,16 +130,6 @@ impl Manifest {
         header: &ManifestHeader,
         preserved: &[(JobId, String)],
     ) -> Result<Manifest, ManifestError> {
-        Manifest::create_indexed(path, header, preserved).map(|(manifest, _)| manifest)
-    }
-
-    /// [`Manifest::create`], also returning where each `preserved`
-    /// entry landed, in order.
-    pub fn create_indexed(
-        path: &Path,
-        header: &ManifestHeader,
-        preserved: &[(JobId, String)],
-    ) -> Result<(Manifest, Vec<EntrySpan>), ManifestError> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -165,72 +140,37 @@ impl Manifest {
         let head = serde_json::to_string(header).expect("header serializes");
         writeln!(out, "{head}")?;
         let mut end = head.len() as u64 + 1;
-        let mut spans = Vec::with_capacity(preserved.len());
         for (id, result) in preserved {
             let line = entry_line(id, result);
             out.write_all(line.as_bytes())?;
-            spans.push(EntrySpan {
-                offset: end,
-                len: line.len() as u64 - 1,
-            });
             end += line.len() as u64;
         }
         let file = out.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
         std::fs::rename(&tmp, path)?;
-        let manifest = Manifest {
+        Ok(Manifest {
             path: path.to_path_buf(),
             writer: Mutex::new(Writer { file, end }),
-            reader: Mutex::new(File::open(path)?),
-        };
-        Ok((manifest, spans))
-    }
-
-    /// Appends one completed job and flushes, so the line survives a
-    /// kill right after.
-    pub fn append(&self, id: &JobId, result_json: &str) {
-        // A failed append must not kill the sweep (the results are still
-        // merged in memory); it only costs resumability of this job.
-        let _ = self.append_entry(id, result_json);
-    }
-
-    /// [`Manifest::append`], reporting where the line landed once it is
-    /// flushed, or the error. A failed append cuts the file back to
-    /// where the line began, so no torn line sits in front of later
-    /// appends and stops [`Manifest::load`] short of them.
-    pub fn append_entry(&self, id: &JobId, result_json: &str) -> std::io::Result<EntrySpan> {
-        let line = entry_line(id, result_json);
-        let mut writer = self.writer.lock().expect("manifest writer poisoned");
-        let Writer { file, end } = &mut *writer;
-        let offset = *end;
-        let written = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-        if let Err(e) = written {
-            let _ = file.set_len(offset);
-            let _ = file.seek(SeekFrom::Start(offset));
-            return Err(e);
-        }
-        *end += line.len() as u64;
-        Ok(EntrySpan {
-            offset,
-            len: line.len() as u64 - 1,
         })
     }
 
-    /// Reads the entry at `span` back and checks its digest, as
-    /// [`Manifest::load`] checks every line. A span that does not hold
-    /// one intact entry is [`ManifestError::Corrupt`].
-    pub fn read_entry(&self, span: EntrySpan) -> Result<(JobId, String), ManifestError> {
-        let corrupt =
-            |why: String| ManifestError::Corrupt(format!("entry at byte {}: {why}", span.offset));
-        let len = usize::try_from(span.len).map_err(|e| corrupt(e.to_string()))?;
-        let mut bytes = vec![0; len];
-        {
-            let mut file = self.reader.lock().expect("manifest reader poisoned");
-            file.seek(SeekFrom::Start(span.offset))?;
-            file.read_exact(&mut bytes)?;
+    /// Appends one completed job and flushes, so the line survives a
+    /// kill right after. A failed append must not kill the sweep (the
+    /// results are still merged in memory); it only costs resumability
+    /// of this job. It cuts the file back to where the line began, so no
+    /// torn line sits in front of later appends and stops
+    /// [`Manifest::load`] short of them.
+    pub fn append(&self, id: &JobId, result_json: &str) {
+        let line = entry_line(id, result_json);
+        let mut writer = self.writer.lock().expect("manifest writer poisoned");
+        let Writer { file, end } = &mut *writer;
+        match file.write_all(line.as_bytes()).and_then(|()| file.flush()) {
+            Ok(()) => *end += line.len() as u64,
+            Err(_) => {
+                let _ = file.set_len(*end);
+                let _ = file.seek(SeekFrom::Start(*end));
+            }
         }
-        let line = String::from_utf8(bytes).map_err(|e| corrupt(e.to_string()))?;
-        intact_entry(&line).map_err(corrupt)
     }
 
     /// Where this manifest lives.
@@ -270,22 +210,16 @@ impl Manifest {
         for line in lines {
             // A truncated tail of a killed sweep, bit-rot or a torn
             // write: stop trusting the file.
-            let Ok(entry) = intact_entry(line) else {
+            let Ok(entry) = serde_json::from_str::<Entry>(line) else {
                 break;
             };
-            entries.push(entry);
+            if entry_digest(&entry.id, &entry.result) != entry.digest {
+                break;
+            }
+            entries.push((entry.id, entry.result));
         }
         Ok(entries)
     }
-}
-
-/// Parses one entry line and checks its digest.
-fn intact_entry(line: &str) -> Result<(JobId, String), String> {
-    let entry: Entry = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    if entry_digest(&entry.id, &entry.result) != entry.digest {
-        return Err("digest mismatch".into());
-    }
-    Ok((entry.id, entry.result))
 }
 
 /// FNV-1a over the id *and* the result bytes. Covering the id matters:
@@ -468,75 +402,6 @@ mod tests {
             Manifest::load(&path, &header(1)),
             Err(ManifestError::Corrupt(_))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spans_read_back_the_lines_they_point_at() {
-        let dir = tempdir("spans");
-        let path = dir.join("test.manifest.jsonl");
-        let prior = vec![
-            (JobId::new("test", "p", 1), "{\"v\":1}".to_string()),
-            (JobId::new("test", "p", 2), "{\"v\":\"two\\n\"}".to_string()),
-        ];
-        let (m, mut spans) = Manifest::create_indexed(&path, &header(4), &prior).unwrap();
-        let mut written = prior.clone();
-        for seed in 3..5 {
-            let entry = (JobId::new("test", "q", seed), format!("{{\"v\":{seed}}}"));
-            spans.push(m.append_entry(&entry.0, &entry.1).unwrap());
-            written.push(entry);
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().skip(1).collect();
-        for ((span, entry), line) in spans.iter().zip(&written).zip(&lines) {
-            let at = span.offset as usize;
-            assert_eq!(&text[at..at + span.len as usize], *line);
-            assert_eq!(m.read_entry(*span).unwrap(), *entry);
-        }
-        assert_eq!(Manifest::load(&path, &header(4)).unwrap(), written);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn read_entry_rejects_what_is_not_one_intact_entry() {
-        let dir = tempdir("read-corrupt");
-        let path = dir.join("test.manifest.jsonl");
-        let m = Manifest::create(&path, &header(2), &[]).unwrap();
-        let span = m
-            .append_entry(&JobId::new("test", "p", 0), "{\"v\":1}")
-            .unwrap();
-        let other = m
-            .append_entry(&JobId::new("test", "p", 1), "{\"v\":2}")
-            .unwrap();
-        for bad in [
-            EntrySpan { offset: 0, ..span },
-            EntrySpan {
-                offset: span.offset + 1,
-                ..span
-            },
-            EntrySpan {
-                len: span.len + 2,
-                ..span
-            },
-            EntrySpan {
-                offset: other.offset + other.len + 1,
-                ..span
-            },
-        ] {
-            assert!(m.read_entry(bad).is_err(), "{bad:?}");
-        }
-        // Flip one byte of the stored result in place: the open reader
-        // sees the rewritten file.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = span.offset as usize + span.len as usize - 4;
-        assert_eq!(bytes[at], b'1');
-        bytes[at] = b'7';
-        std::fs::write(&path, &bytes).unwrap();
-        match m.read_entry(span) {
-            Err(ManifestError::Corrupt(why)) => assert!(why.contains("digest"), "{why}"),
-            other => panic!("expected a digest mismatch, got {other:?}"),
-        }
-        assert!(m.read_entry(other).is_ok(), "the other entry is intact");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,56 +1,15 @@
-//! The work-stealing thread pool: N workers over a sharded claim
-//! cursor, results into a slot-addressed buffer.
+//! The thread pool: N workers over one shared claim cursor, results
+//! into a slot-addressed buffer.
 //!
-//! The job slice is split into one contiguous chunk per worker, each
-//! with its own cache-line-padded atomic cursor. A worker drains its own
-//! chunk first — uncontended `fetch_add`s on a line no other core
-//! touches — and only when it runs dry does it sweep the other shards
-//! and steal their remaining indices. Under even load no cursor line
-//! ever bounces between cores; under skew the stealing sweep
-//! load-balances exactly like a single shared injector. Every index is
-//! claimed by exactly one `fetch_add` winner (cursors are monotone, so
-//! "dry" is permanent), and each result lands in its job's own slot,
-//! which is what keeps the output order independent of scheduling.
+//! Workers claim the next job index with one `fetch_add` on a shared
+//! cursor, so a worker that finishes early simply claims more, and a
+//! worker parked in a long job never holds work back from the others.
+//! Every index is claimed by exactly one `fetch_add` winner, and each
+//! result lands in its job's own slot, which is what keeps the output
+//! order independent of scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// One worker's chunk of the job slice: a claim cursor and the chunk's
-/// end index. Padded to a cache line so workers draining their own
-/// shards never share one.
-#[repr(align(64))]
-struct Shard {
-    next: AtomicUsize,
-    end: usize,
-}
-
-impl Shard {
-    /// Claims the shard's next unclaimed index, or `None` if the shard
-    /// is dry. Dry is permanent: the cursor only grows, so a `None`
-    /// here can never be invalidated by another worker.
-    #[inline]
-    fn claim(&self) -> Option<usize> {
-        // The load keeps dry shards read-only (no cache-line ping-pong
-        // from stealers re-probing them); the fetch_add is the one true
-        // claim — ties between racing stealers resolve to exactly one
-        // winner per index.
-        if self.next.load(Ordering::Relaxed) >= self.end {
-            return None;
-        }
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.end).then_some(i)
-    }
-}
-
-/// Splits `0..n` into `workers` contiguous shards of near-equal size.
-fn make_shards(n: usize, workers: usize) -> Vec<Shard> {
-    (0..workers)
-        .map(|w| Shard {
-            next: AtomicUsize::new(w * n / workers),
-            end: (w + 1) * n / workers,
-        })
-        .collect()
-}
 
 /// Resolves a `--jobs` value: `0` means one worker per available core,
 /// and the count never exceeds the number of jobs (spawning idle threads
@@ -99,31 +58,23 @@ where
 {
     let n = jobs.len();
     let workers = resolve_workers(workers, n);
-    let shards = make_shards(n, workers);
+    let next = AtomicUsize::new(0);
     // One mutex per slot: a worker only ever locks the slot it owns, so
     // there is no contention and no unsafe indexing.
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let (shards, slots, run, on_start, on_finish) =
-                (&shards, &slots, &run, &on_start, &on_finish);
-            scope.spawn(move || {
-                // Own shard first, then sweep the others (stealing).
-                // Cursors are monotone, so one full dry sweep proves
-                // there is no work left anywhere.
-                'work: loop {
-                    for k in 0..workers {
-                        let shard = &shards[(w + k) % workers];
-                        if let Some(i) = shard.claim() {
-                            on_start(w, i);
-                            let r = run(w, &jobs[i]);
-                            on_finish(w, i, &r);
-                            *slots[i].lock().expect("result slot poisoned") = Some(r);
-                            continue 'work;
-                        }
-                    }
+            let (next, slots, run, on_start, on_finish) =
+                (&next, &slots, &run, &on_start, &on_finish);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
                 }
+                on_start(w, i);
+                let r = run(w, &jobs[i]);
+                on_finish(w, i, &r);
+                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });
@@ -197,11 +148,11 @@ mod tests {
 
     #[test]
     fn exhausted_workers_steal_from_busy_shards() {
-        // 2 workers over 4 jobs → shards {0, 1} and {2, 3}. Whichever
-        // worker runs job 2 parks until job 3's signal, so the run can
-        // only finish if the other worker, after draining its own
-        // shard, steals across the shard boundary and runs job 3. A
-        // pool without stealing deadlocks here (test times out).
+        // 2 workers over 4 jobs. Whichever worker runs job 2 parks
+        // until job 3's signal, so the run can only finish if the other
+        // worker goes on claiming from the shared cursor and runs job 3.
+        // A pool that hands a parked worker's jobs to no one else
+        // deadlocks here (test times out).
         use std::sync::mpsc;
         let (tx, rx) = mpsc::channel();
         let rx = Mutex::new(rx);
@@ -216,22 +167,6 @@ mod tests {
             x * 10
         });
         assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn shards_cover_the_job_range_exactly() {
-        for n in [0, 1, 5, 97, 100] {
-            for workers in [1, 2, 3, 7, 16] {
-                let shards = make_shards(n, workers);
-                let mut next = 0;
-                for s in &shards {
-                    assert_eq!(s.next.load(Ordering::Relaxed), next);
-                    assert!(s.end >= next);
-                    next = s.end;
-                }
-                assert_eq!(next, n, "n = {n}, workers = {workers}");
-            }
-        }
     }
 
     #[test]

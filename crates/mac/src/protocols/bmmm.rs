@@ -14,7 +14,7 @@
 //! (Theorem 3) to have received the data collision-free and need no
 //! explicit confirmation.
 
-use super::{Env, Flow};
+use super::{Env, Flow, RetryBudget};
 use rmm_geom::{min_cover_set, update_uncovered};
 use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot, TraceEvent};
 
@@ -54,10 +54,8 @@ pub struct BmmmFsm {
     all_acked: Vec<NodeId>,
     /// Receivers LAMM closed via geometric coverage without an ACK.
     assumed_covered: Vec<NodeId>,
-    /// Completed batches each receiver has failed to be confirmed in.
-    misses: Vec<(NodeId, u32)>,
-    /// Receivers abandoned after `timing.dest_retry_limit` failed rounds.
-    gave_up: Vec<NodeId>,
+    /// Failed rounds per receiver, and the receivers given up on.
+    budget: RetryBudget,
 }
 
 impl BmmmFsm {
@@ -74,8 +72,7 @@ impl BmmmFsm {
             batch_acked: Vec::new(),
             all_acked: Vec::new(),
             assumed_covered: Vec::new(),
-            misses: Vec::new(),
-            gave_up: Vec::new(),
+            budget: RetryBudget::default(),
         }
     }
 
@@ -86,77 +83,7 @@ impl BmmmFsm {
 
     /// Receivers abandoned after exhausting their retry budget.
     pub fn gave_up(&self) -> &[NodeId] {
-        &self.gave_up
-    }
-
-    /// Records one more failed round for `dst` and returns the total.
-    fn charge(misses: &mut Vec<(NodeId, u32)>, dst: NodeId) -> u32 {
-        match misses.iter_mut().find(|(n, _)| *n == dst) {
-            Some((_, c)) => {
-                *c += 1;
-                *c
-            }
-            None => {
-                misses.push((dst, 1));
-                1
-            }
-        }
-    }
-
-    /// Charges one failed round to every receiver still outstanding and
-    /// prunes the ones whose per-destination budget is exhausted, so one
-    /// dead receiver costs a bounded number of batches.
-    fn prune_exhausted(&mut self, env: &mut Env<'_, '_>) {
-        let limit = env.timing().dest_retry_limit;
-        let (slot, node, msg) = (env.now(), env.core.id, env.req.msg);
-        let remaining = std::mem::take(&mut self.s_remaining);
-        let mut kept = Vec::with_capacity(remaining.len());
-        for dst in remaining {
-            let count = Self::charge(&mut self.misses, dst);
-            if count >= limit {
-                env.emit(|| TraceEvent::GiveUp {
-                    slot,
-                    node,
-                    msg,
-                    dst,
-                    after_retries: count,
-                });
-                self.gave_up.push(dst);
-            } else {
-                kept.push(dst);
-            }
-        }
-        self.s_remaining = kept;
-    }
-
-    /// A wholly silent poll train is a failed round for every receiver it
-    /// polled: charge their budgets and prune the exhausted ones, so a
-    /// batch of dead receivers cannot stall the message until the
-    /// node-level retry ceiling kills it. Returns whether any receiver
-    /// was given up on.
-    fn charge_silent_batch(&mut self, env: &mut Env<'_, '_>) -> bool {
-        let limit = env.timing().dest_retry_limit;
-        let (slot, node, msg) = (env.now(), env.core.id, env.req.msg);
-        let before = self.gave_up.len();
-        for i in 0..self.batch.len() {
-            let dst = self.batch[i];
-            if !self.s_remaining.contains(&dst) {
-                continue;
-            }
-            let count = Self::charge(&mut self.misses, dst);
-            if count >= limit {
-                env.emit(|| TraceEvent::GiveUp {
-                    slot,
-                    node,
-                    msg,
-                    dst,
-                    after_retries: count,
-                });
-                self.gave_up.push(dst);
-                self.s_remaining.retain(|n| *n != dst);
-            }
-        }
-        self.gave_up.len() > before
+        self.budget.gave_up()
     }
 
     /// Receivers served by coverage (always empty for BMMM).
@@ -260,60 +187,39 @@ impl BmmmFsm {
         });
     }
 
-    /// Batch over: fold `S_ACK` into `S` and decide what happens next.
+    /// Batch over: fold `S_ACK` into `S` — `S \ S_ACK` for BMMM,
+    /// `UPDATE(S, S_ACK)` for LAMM — charge the receivers still
+    /// outstanding, and decide what happens next.
     fn finish_batch(&mut self, env: &mut Env<'_, '_>) -> Flow {
         self.emit_batch_end(env);
         self.phase = Phase::Idle;
         self.all_acked.extend(self.batch_acked.iter().copied());
-        self.s_remaining = self.next_remaining();
-        self.prune_exhausted(env);
+        if self.location_aware {
+            // UPDATE(S, S_ACK): keep the nodes not covered by the ACK set.
+            let indices: Vec<usize> = self.s_remaining.iter().map(|n| n.index()).collect();
+            let acked: Vec<usize> = self.batch_acked.iter().map(|n| n.index()).collect();
+            let rem = update_uncovered(env.core.positions(), &indices, &acked, env.core.radius());
+            let new_remaining: Vec<NodeId> = rem.into_iter().map(|i| NodeId(i as u32)).collect();
+            // Nodes that left S without explicitly ACKing were closed by
+            // Theorem 3 coverage.
+            for &n in &self.s_remaining {
+                if !new_remaining.contains(&n)
+                    && !self.batch_acked.contains(&n)
+                    && !self.assumed_covered.contains(&n)
+                {
+                    self.assumed_covered.push(n);
+                }
+            }
+            self.s_remaining = new_remaining;
+        } else {
+            self.s_remaining.retain(|n| !self.batch_acked.contains(n));
+        }
+        self.budget.prune_exhausted(&mut self.s_remaining, env);
         if self.s_remaining.is_empty() {
             Flow::Complete
         } else {
             // The sender's protocol loops: a fresh Batch_Mode_Procedure
             // begins with a fresh contention phase.
-            Flow::Recontend { reset_cw: true }
-        }
-    }
-
-    fn next_remaining(&mut self) -> Vec<NodeId> {
-        if self.location_aware {
-            // UPDATE(S, S_ACK): keep the nodes not covered by the ACK set.
-            // This needs geometry, so it is computed in `finish_batch_geo`
-            // via the positions snapshot taken below.
-            unreachable!("LAMM uses finish_batch_geo")
-        } else {
-            self.s_remaining
-                .iter()
-                .copied()
-                .filter(|n| !self.batch_acked.contains(n))
-                .collect()
-        }
-    }
-
-    fn finish_batch_geo(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        self.emit_batch_end(env);
-        self.phase = Phase::Idle;
-        self.all_acked.extend(self.batch_acked.iter().copied());
-        let indices: Vec<usize> = self.s_remaining.iter().map(|n| n.index()).collect();
-        let acked: Vec<usize> = self.batch_acked.iter().map(|n| n.index()).collect();
-        let rem = update_uncovered(env.core.positions(), &indices, &acked, env.core.radius());
-        let new_remaining: Vec<NodeId> = rem.into_iter().map(|i| NodeId(i as u32)).collect();
-        // Nodes that left S without explicitly ACKing were closed by
-        // Theorem 3 coverage.
-        for &n in &self.s_remaining {
-            if !new_remaining.contains(&n)
-                && !self.batch_acked.contains(&n)
-                && !self.assumed_covered.contains(&n)
-            {
-                self.assumed_covered.push(n);
-            }
-        }
-        self.s_remaining = new_remaining;
-        self.prune_exhausted(env);
-        if self.s_remaining.is_empty() {
-            Flow::Complete
-        } else {
             Flow::Recontend { reset_cw: true }
         }
     }
@@ -349,7 +255,9 @@ impl BmmmFsm {
                     // No CTS at all: charge the silent batch, then back
                     // off and restart the procedure.
                     self.phase = Phase::Idle;
-                    let pruned = self.charge_silent_batch(env);
+                    let pruned =
+                        self.budget
+                            .charge_silent_batch(&self.batch, &mut self.s_remaining, env);
                     if self.s_remaining.is_empty() {
                         return Flow::Complete;
                     }
@@ -375,8 +283,6 @@ impl BmmmFsm {
                 if i + 1 < m {
                     self.send_rak(i + 1, env);
                     Flow::Continue
-                } else if self.location_aware {
-                    self.finish_batch_geo(env)
                 } else {
                     self.finish_batch(env)
                 }

@@ -12,8 +12,8 @@
 //! real BMMM (`rak_train_is_what_makes_bmmm_reliable` in
 //! `tests/protocol_integration.rs`).
 
-use super::{Env, Flow};
-use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot, TraceEvent};
+use super::{Env, Flow, RetryBudget};
+use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -37,10 +37,9 @@ pub struct BmmmUncoordFsm {
     cts_any: bool,
     batch_acked: Vec<NodeId>,
     all_acked: Vec<NodeId>,
-    /// Completed rounds each receiver has failed to be confirmed in.
-    misses: Vec<(NodeId, u32)>,
-    /// Receivers abandoned after `timing.dest_retry_limit` failed rounds.
-    gave_up: Vec<NodeId>,
+    /// Failed rounds per receiver, and the receivers given up on (the
+    /// same budget as BMMM's).
+    budget: RetryBudget,
 }
 
 impl BmmmUncoordFsm {
@@ -54,8 +53,7 @@ impl BmmmUncoordFsm {
             cts_any: false,
             batch_acked: Vec::new(),
             all_acked: Vec::new(),
-            misses: Vec::new(),
-            gave_up: Vec::new(),
+            budget: RetryBudget::default(),
         }
     }
 
@@ -66,74 +64,7 @@ impl BmmmUncoordFsm {
 
     /// Receivers abandoned after exhausting their retry budget.
     pub fn gave_up(&self) -> &[NodeId] {
-        &self.gave_up
-    }
-
-    /// Records one more failed round for `dst` and returns the total.
-    fn charge(misses: &mut Vec<(NodeId, u32)>, dst: NodeId) -> u32 {
-        match misses.iter_mut().find(|(n, _)| *n == dst) {
-            Some((_, c)) => {
-                *c += 1;
-                *c
-            }
-            None => {
-                misses.push((dst, 1));
-                1
-            }
-        }
-    }
-
-    /// Same per-destination budget as BMMM: charge one failed round to
-    /// every still-outstanding receiver; prune the exhausted ones.
-    fn prune_exhausted(&mut self, env: &mut Env<'_, '_>) {
-        let limit = env.timing().dest_retry_limit;
-        let (slot, node, msg) = (env.now(), env.core.id, env.req.msg);
-        let remaining = std::mem::take(&mut self.s_remaining);
-        let mut kept = Vec::with_capacity(remaining.len());
-        for dst in remaining {
-            let count = Self::charge(&mut self.misses, dst);
-            if count >= limit {
-                env.emit(|| TraceEvent::GiveUp {
-                    slot,
-                    node,
-                    msg,
-                    dst,
-                    after_retries: count,
-                });
-                self.gave_up.push(dst);
-            } else {
-                kept.push(dst);
-            }
-        }
-        self.s_remaining = kept;
-    }
-
-    /// A wholly silent poll train is a failed round for every receiver it
-    /// polled: charge their budgets and prune the exhausted ones (same
-    /// rationale as BMMM). Returns whether any receiver was given up on.
-    fn charge_silent_batch(&mut self, env: &mut Env<'_, '_>) -> bool {
-        let limit = env.timing().dest_retry_limit;
-        let (slot, node, msg) = (env.now(), env.core.id, env.req.msg);
-        let before = self.gave_up.len();
-        for i in 0..self.batch.len() {
-            let dst = self.batch[i];
-            if !self.s_remaining.contains(&dst) {
-                continue;
-            }
-            let count = Self::charge(&mut self.misses, dst);
-            if count >= limit {
-                env.emit(|| TraceEvent::GiveUp {
-                    slot,
-                    node,
-                    msg,
-                    dst,
-                    after_retries: count,
-                });
-                self.gave_up.push(dst);
-                self.s_remaining.retain(|n| *n != dst);
-            }
-        }
-        self.gave_up.len() > before
+        self.budget.gave_up()
     }
 
     fn send_rts(&mut self, i: usize, env: &mut Env<'_, '_>) {
@@ -189,7 +120,9 @@ impl BmmmUncoordFsm {
                     // No CTS at all: charge the silent batch before
                     // backing off.
                     self.phase = Phase::Idle;
-                    let pruned = self.charge_silent_batch(env);
+                    let pruned =
+                        self.budget
+                            .charge_silent_batch(&self.batch, &mut self.s_remaining, env);
                     if self.s_remaining.is_empty() {
                         return Flow::Complete;
                     }
@@ -200,7 +133,7 @@ impl BmmmUncoordFsm {
                 self.phase = Phase::Idle;
                 self.all_acked.extend(self.batch_acked.iter().copied());
                 self.s_remaining.retain(|n| !self.batch_acked.contains(n));
-                self.prune_exhausted(env);
+                self.budget.prune_exhausted(&mut self.s_remaining, env);
                 if self.s_remaining.is_empty() {
                     Flow::Complete
                 } else {

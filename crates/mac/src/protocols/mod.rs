@@ -237,6 +237,81 @@ impl Env<'_, '_> {
     }
 }
 
+/// The per-destination retry budget of the batch senders (BMMM, LAMM
+/// and BMMM-U): every completed batch a receiver is not confirmed in is
+/// one failed round, and a receiver that reaches
+/// `timing.dest_retry_limit` failed rounds is given up on, so one dead
+/// receiver costs a bounded number of batches.
+#[derive(Debug, Default)]
+pub(crate) struct RetryBudget {
+    /// Failed rounds charged to each receiver so far.
+    misses: Vec<(NodeId, u32)>,
+    /// Receivers abandoned after exhausting their budget, in order.
+    gave_up: Vec<NodeId>,
+}
+
+impl RetryBudget {
+    /// Receivers abandoned after exhausting their budget.
+    pub(crate) fn gave_up(&self) -> &[NodeId] {
+        &self.gave_up
+    }
+
+    /// Charges one failed round to `dst`. Returns whether that exhausted
+    /// its budget, in which case `dst` is traced and recorded as given
+    /// up on.
+    fn charge(&mut self, dst: NodeId, env: &mut Env<'_, '_>) -> bool {
+        let count = match self.misses.iter_mut().find(|(n, _)| *n == dst) {
+            Some((_, c)) => {
+                *c += 1;
+                *c
+            }
+            None => {
+                self.misses.push((dst, 1));
+                1
+            }
+        };
+        if count < env.core.timing.dest_retry_limit {
+            return false;
+        }
+        let (slot, node, msg) = (env.now(), env.core.id, env.req.msg);
+        env.emit(|| TraceEvent::GiveUp {
+            slot,
+            node,
+            msg,
+            dst,
+            after_retries: count,
+        });
+        self.gave_up.push(dst);
+        true
+    }
+
+    /// Charges one failed round to every receiver still in `remaining`
+    /// and drops the exhausted ones from it.
+    pub(crate) fn prune_exhausted(&mut self, remaining: &mut Vec<NodeId>, env: &mut Env<'_, '_>) {
+        remaining.retain(|&dst| !self.charge(dst, env));
+    }
+
+    /// A wholly silent poll train is a failed round for every receiver
+    /// of `batch` still in `remaining`: charge them and drop the
+    /// exhausted ones, so a batch of dead receivers cannot stall the
+    /// message until the node-level retry ceiling kills it. Returns
+    /// whether any receiver was given up on.
+    pub(crate) fn charge_silent_batch(
+        &mut self,
+        batch: &[NodeId],
+        remaining: &mut Vec<NodeId>,
+        env: &mut Env<'_, '_>,
+    ) -> bool {
+        let before = self.gave_up.len();
+        for &dst in batch {
+            if remaining.contains(&dst) && self.charge(dst, env) {
+                remaining.retain(|n| *n != dst);
+            }
+        }
+        self.gave_up.len() > before
+    }
+}
+
 /// A protocol sender state machine (enum dispatch keeps the hot path
 /// monomorphic).
 #[derive(Debug)]

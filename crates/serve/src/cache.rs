@@ -1,5 +1,5 @@
-//! Content-addressed result cache, backed by the fleet's crash-safe
-//! manifest format.
+//! Content-addressed result cache: in memory, or one file per cell in
+//! a cache directory.
 //!
 //! Every completed cell is stored under a key derived purely from its
 //! *content*: protocol, scenario JSON, seed, and the trace/profile
@@ -12,37 +12,51 @@
 //! a hit writes those bytes with its own id and `"cached":true` put in
 //! place, with no parse of the cell and no second render.
 //!
-//! On disk the cache is a manifest (`header` + one digest-checked JSONL
-//! entry per cell), so it inherits the manifest's crash-safety: appends are
-//! flushed per line, a torn tail is dropped on load, and the header
-//! carries both the serve options hash and the scenario *schema*
-//! fingerprint. A cache written by a build with a different scenario
-//! layout, wire protocol or stored form is discarded (with a warning)
-//! rather than replayed — unlike a sweep resume, a stale cache is never
-//! an error, just a cold start.
+//! On disk the cache is a directory: one header file naming the wire
+//! version, the scenario *schema* fingerprint and the stored form, and
+//! one file per key. An entry file's first line carries the key, the
+//! seed and an FNV-1a digest; the rest is the rendered stream, byte for
+//! byte. A put writes the file under a unique temporary name and renames
+//! it into place, so a reader sees a whole entry or none, and a key
+//! stored twice is still one file. Nothing is synced: an entry that a
+//! power loss tears fails its digest and is recomputed. Memory holds
+//! only the names of the entry files: [`CacheStore::open`] reads the
+//! header and lists the directory, and a hit reads its one file and
+//! checks the key, the digest and the stream's shape. A failed read is a
+//! miss counted as a read failure, and costs only that entry. A failed
+//! write or rename leaves the cell uncached and is counted as a write
+//! failure. The directory and its header are created by the first put.
 //!
-//! With a cache file, memory holds only where each key's entry sits in
-//! it. A hit reads that one entry back and checks its digest; a failed
-//! read, digest or stream shape is a miss, counted as a read failure.
-//! A key enters the index only once its append has flushed, so a failed
-//! append leaves the cell uncached. Without a cache file, the map holds
-//! the rendered streams themselves.
+//! A header written by a build with a different scenario layout, wire
+//! protocol or stored form, or a serve-cache manifest file at the path
+//! (the layout earlier builds wrote), is discarded with a warning: a
+//! stale cache is never an error, just a cold start. A non-empty
+//! directory without the header is an error, so `open` deletes only
+//! what the cache wrote.
 
 use crate::proto::{Rendered, ServeCell, PROTO_VERSION};
-use rmm_fleet::{
-    hex, EntrySpan, Fnv1a, JobId, Manifest, ManifestError, ManifestHeader, MANIFEST_VERSION,
-};
+use rmm_fleet::{hex, Fnv1a, ManifestHeader};
 use rmm_mac::ProtocolKind;
 use rmm_workload::Scenario;
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::fs;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// What a cache entry holds, folded into the cache header: a file whose
-/// entries hold anything else (such as the cell JSON earlier builds
-/// stored) is stale.
+/// What a cache entry holds, folded into the cache header: a cache
+/// whose entries hold anything else is stale.
 const STORED_FORM: &str = "rendered-stream";
+
+/// The header file of a cache directory.
+const HEADER: &str = "rmm-serve-cache";
+
+/// The name ending of an entry file.
+const ENTRY: &str = ".entry";
+
+/// The name ending of an entry file still being written.
+const TEMP: &str = ".tmp";
 
 /// Computes the content address of one cell. Everything that can change
 /// the response bytes is hashed; nothing else is.
@@ -63,112 +77,231 @@ pub fn cache_key(
     format!("{}/{}", protocol.name(), hex(h.finish()))
 }
 
-/// The serve-side result cache: an index over an optional on-disk
-/// manifest. All methods take `&self`; the store is shared across
-/// connection threads behind an `Arc`.
+/// The serve-side result cache, in memory or over a cache directory.
+/// All methods take `&self`; the store is shared across connection
+/// threads behind an `Arc`.
 pub struct CacheStore {
     entries: Entries,
     hits: AtomicU64,
     misses: AtomicU64,
     read_failures: AtomicU64,
+    write_failures: AtomicU64,
 }
 
 /// Where the cached streams live.
 enum Entries {
-    /// No cache file: the streams themselves, by key.
+    /// No cache directory: the streams themselves, by key.
     Memory(Mutex<HashMap<String, Arc<Rendered>>>),
-    /// A cache file, and where each key's entry sits in it.
-    Disk {
-        manifest: Manifest,
-        index: Mutex<HashMap<String, EntrySpan>>,
-    },
+    /// A cache directory.
+    Disk(Disk),
 }
 
-fn cache_header(schema: u32) -> ManifestHeader {
+/// A cache directory and the names of the entry files in it.
+struct Disk {
+    dir: PathBuf,
+    /// The header this build writes and accepts.
+    header: String,
+    /// Whether the directory holds that header yet. Set with `Release`
+    /// after the header is written, read with `Acquire`, so a put that
+    /// sees it set writes after the header.
+    ready: AtomicBool,
+    /// Entry files written whole, by name.
+    names: Mutex<HashSet<String>>,
+    /// Numbers the temporary files of this store's writes.
+    writes: AtomicU64,
+}
+
+fn cache_header(schema: u32) -> String {
+    format!("rmm-serve cache: wire v{PROTO_VERSION}, schema {schema:#010x}, {STORED_FORM}\n")
+}
+
+/// The first line of an entry file: its key, its seed and an FNV-1a
+/// digest over the three and the stream.
+fn entry_head(key: &str, seed: u64, stream: &str) -> String {
     let mut h = Fnv1a::new();
-    h.write_str("serve");
-    h.write_u64(u64::from(PROTO_VERSION));
-    h.write_str(STORED_FORM);
-    ManifestHeader {
-        sweep: "serve-cache".into(),
-        options_hash: hex(h.finish()),
-        jobs: 0,
-        version: MANIFEST_VERSION,
-        schema,
+    h.write_str(key);
+    h.write_u64(seed);
+    h.write_str(stream);
+    format!("{key} {seed} {}\n", hex(h.finish()))
+}
+
+fn entry_name(key: &str) -> String {
+    key.replace('/', "_") + ENTRY
+}
+
+/// Whether `path` is a cache file in the layout earlier builds wrote: a
+/// fleet manifest whose header names the serve cache.
+fn is_old_layout(path: &Path) -> bool {
+    let Ok(file) = fs::File::open(path) else {
+        return false;
+    };
+    let mut line = String::new();
+    let read = BufReader::new(file.take(4096)).read_line(&mut line);
+    read.is_ok()
+        && serde_json::from_str::<ManifestHeader>(line.trim_end())
+            .is_ok_and(|h| h.sweep == "serve-cache")
+}
+
+impl Disk {
+    fn names(&self) -> MutexGuard<'_, HashSet<String>> {
+        self.names.lock().expect("cache index poisoned")
+    }
+
+    /// Opens the cache directory at `dir` for `header`: lists the entry
+    /// files when the header matches, and otherwise discards (with a
+    /// warning) a stale cache or an old-layout cache file. Reads no entry.
+    fn open(dir: &Path, header: String) -> std::io::Result<Disk> {
+        let mut disk = Disk {
+            dir: dir.to_path_buf(),
+            header,
+            ready: AtomicBool::new(false),
+            names: Mutex::default(),
+            writes: AtomicU64::new(0),
+        };
+        if dir.is_file() {
+            if !is_old_layout(dir) {
+                return Err(std::io::Error::other(format!(
+                    "{} is a file, not a cache directory",
+                    dir.display()
+                )));
+            }
+            eprintln!(
+                "rmm-serve: discarding the cache file in the old layout at {}",
+                dir.display()
+            );
+            fs::remove_file(dir)?;
+            return Ok(disk);
+        }
+        let mut names = Vec::new();
+        match fs::read_dir(dir) {
+            Ok(listing) => {
+                for entry in listing {
+                    names.push(entry?.file_name().to_string_lossy().into_owned());
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(disk),
+            Err(e) => return Err(e),
+        }
+        if !names.iter().any(|n| n == HEADER) {
+            if names.is_empty() {
+                return Ok(disk);
+            }
+            return Err(std::io::Error::other(format!(
+                "{} holds files but no cache header; refusing to use it as a cache",
+                dir.display()
+            )));
+        }
+        let fresh = fs::read(dir.join(HEADER))? == disk.header.as_bytes();
+        if !fresh {
+            eprintln!(
+                "rmm-serve: discarding incompatible cache at {}",
+                dir.display()
+            );
+        }
+        // Temporary files are writes a stopped server never finished. A
+        // stale cache loses its entries, then its header.
+        for name in &names {
+            if name.ends_with(TEMP) || (!fresh && name.ends_with(ENTRY)) {
+                fs::remove_file(dir.join(name))?;
+            }
+        }
+        if fresh {
+            *disk.ready.get_mut() = true;
+            let entries = names.into_iter().filter(|n| n.ends_with(ENTRY));
+            disk.names.get_mut().expect("fresh lock").extend(entries);
+        } else {
+            fs::remove_file(dir.join(HEADER))?;
+        }
+        Ok(disk)
+    }
+
+    /// Reads the entry for `key` back, or `None` if it does not read
+    /// back intact: an I/O error, another key, a digest mismatch, a
+    /// stream of the wrong shape.
+    fn read(&self, name: &str, key: &str) -> Option<Rendered> {
+        let mut text = String::from_utf8(fs::read(self.dir.join(name)).ok()?).ok()?;
+        let cut = text.find('\n')? + 1;
+        let (head, stream) = text.split_at(cut);
+        let seed = head.strip_prefix(key)?.strip_prefix(' ')?;
+        let seed = seed.split(' ').next()?.parse().ok()?;
+        if entry_head(key, seed, stream) != head {
+            return None;
+        }
+        text.drain(..cut);
+        Rendered::parse(text)
+    }
+
+    /// Writes the entry for `key` under a temporary name and renames it
+    /// into place, creating the directory and its header first if they
+    /// are not there yet. Returns the entry's name.
+    fn write(&self, key: &str, seed: u64, stream: &str) -> std::io::Result<String> {
+        if !self.ready.load(Ordering::Acquire) {
+            fs::create_dir_all(&self.dir)?;
+            fs::write(self.dir.join(HEADER), &self.header)?;
+            self.ready.store(true, Ordering::Release);
+        }
+        let name = entry_name(key);
+        let n = self.writes.fetch_add(1, Ordering::Relaxed);
+        let temp = self
+            .dir
+            .join(format!("{name}.{}.{n}{TEMP}", std::process::id()));
+        let written = fs::File::create(&temp)
+            .and_then(|mut file| {
+                file.write_all(entry_head(key, seed, stream).as_bytes())?;
+                file.write_all(stream.as_bytes())
+            })
+            .and_then(|()| fs::rename(&temp, self.dir.join(&name)));
+        if written.is_err() {
+            let _ = fs::remove_file(&temp);
+        }
+        written.map(|()| name)
     }
 }
 
 impl CacheStore {
     /// Opens the cache. With `path: None` the cache is memory-only (it
-    /// dies with the server). With a path, compatible entries from a
-    /// previous server are indexed again; a missing file starts empty,
-    /// and a stale or corrupt file (other schema, other wire protocol,
-    /// other stored form, unreadable header) is *discarded* with a
-    /// warning and rebuilt from scratch.
+    /// dies with the server). With a path, a cache directory from a
+    /// previous server is listed again; a missing path starts empty, and
+    /// a stale cache (other schema, other wire protocol, other stored
+    /// form, unreadable header) or an old-layout cache file is
+    /// *discarded* with a warning. A file that is not a serve cache, or a
+    /// non-empty directory without the cache header, is an error.
     pub fn open(path: Option<&Path>, schema: u32) -> std::io::Result<CacheStore> {
-        let Some(path) = path else {
-            return Ok(CacheStore::new(Entries::Memory(Mutex::default())));
+        let entries = match path {
+            None => Entries::Memory(Mutex::default()),
+            Some(dir) => Entries::Disk(Disk::open(dir, cache_header(schema))?),
         };
-        let header = cache_header(schema);
-        let preserved = match Manifest::load(path, &header) {
-            Ok(entries) => entries,
-            Err(ManifestError::Missing) => Vec::new(),
-            Err(e @ (ManifestError::Stale { .. } | ManifestError::Corrupt(_))) => {
-                eprintln!(
-                    "rmm-serve: discarding incompatible cache at {}: {e}",
-                    path.display()
-                );
-                Vec::new()
-            }
-            Err(ManifestError::Io(e)) => return Err(e),
-        };
-        let (manifest, spans) = Manifest::create_indexed(path, &header, &preserved)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        // A key written twice keeps its last entry.
-        let index = preserved
-            .into_iter()
-            .zip(spans)
-            .map(|((id, _), span)| (id.point, span))
-            .collect();
-        Ok(CacheStore::new(Entries::Disk {
-            manifest,
-            index: Mutex::new(index),
-        }))
-    }
-
-    fn new(entries: Entries) -> CacheStore {
-        CacheStore {
+        Ok(CacheStore {
             entries,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             read_failures: AtomicU64::new(0),
-        }
+            write_failures: AtomicU64::new(0),
+        })
+    }
+
+    /// Where the entry for `key` lives in the cache directory `dir`.
+    pub fn entry_path(dir: &Path, key: &str) -> PathBuf {
+        dir.join(entry_name(key))
     }
 
     /// Looks a cell's stream up by content key, counting a hit or a
     /// miss. A stored entry that does not read back intact — an I/O
     /// error, a digest mismatch, another key, a stream of the wrong
-    /// shape — is a miss and a read failure.
+    /// shape — is a miss and a read failure, and leaves the index until
+    /// a put writes it again.
     pub fn get(&self, key: &str) -> Option<Arc<Rendered>> {
         let found = match &self.entries {
             Entries::Memory(map) => map.lock().expect("cache index poisoned").get(key).cloned(),
-            Entries::Disk { manifest, index } => {
-                let span = index
-                    .lock()
-                    .expect("cache index poisoned")
-                    .get(key)
-                    .copied();
-                span.and_then(|span| {
-                    let read = manifest
-                        .read_entry(span)
-                        .ok()
-                        .filter(|(id, _)| id.point == key)
-                        .and_then(|(_, text)| Rendered::parse(text));
-                    if read.is_none() {
-                        self.read_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    read.map(Arc::new)
-                })
+            Entries::Disk(disk) => {
+                let name = entry_name(key);
+                let stored = disk.names().contains(&name);
+                let read = if stored { disk.read(&name, key) } else { None };
+                if stored && read.is_none() {
+                    self.read_failures.fetch_add(1, Ordering::Relaxed);
+                    disk.names().remove(&name);
+                }
+                read.map(Arc::new)
             }
         };
         let counter = if found.is_some() {
@@ -186,11 +319,10 @@ impl CacheStore {
     }
 
     /// Stores one rendered cell under its content key and hands it back
-    /// for sending. With a cache file the entry is appended first, and
-    /// the key is indexed only once the append has flushed; a failed
-    /// append leaves the cell uncached. Concurrent identical misses may
-    /// race here; both store the same bytes, so last-write-wins is
-    /// harmless and the on-load index keeps the later line.
+    /// for sending. With a cache directory the key is listed only once
+    /// its file has been renamed into place; a failed write leaves the
+    /// cell uncached and is counted. Concurrent identical misses may race
+    /// here; both store the same bytes, so last-write-wins is harmless.
     pub fn put_rendered(&self, key: &str, seed: u64, rendered: Rendered) -> Arc<Rendered> {
         let rendered = Arc::new(rendered);
         match &self.entries {
@@ -199,15 +331,14 @@ impl CacheStore {
                     .expect("cache index poisoned")
                     .insert(key.to_string(), Arc::clone(&rendered));
             }
-            Entries::Disk { manifest, index } => {
-                let id = JobId::new("serve", key, seed);
-                if let Ok(span) = manifest.append_entry(&id, rendered.text()) {
-                    index
-                        .lock()
-                        .expect("cache index poisoned")
-                        .insert(key.to_string(), span);
+            Entries::Disk(disk) => match disk.write(key, seed, rendered.text()) {
+                Ok(name) => {
+                    disk.names().insert(name);
                 }
-            }
+                Err(_) => {
+                    self.write_failures.fetch_add(1, Ordering::Relaxed);
+                }
+            },
         }
         rendered
     }
@@ -216,7 +347,7 @@ impl CacheStore {
     pub fn len(&self) -> usize {
         match &self.entries {
             Entries::Memory(map) => map.lock().expect("cache index poisoned").len(),
-            Entries::Disk { index, .. } => index.lock().expect("cache index poisoned").len(),
+            Entries::Disk(disk) => disk.names().len(),
         }
     }
 
@@ -239,6 +370,12 @@ impl CacheStore {
     pub fn read_failures(&self) -> u64 {
         self.read_failures.load(Ordering::Relaxed)
     }
+
+    /// Puts whose entry could not be written, each leaving its cell
+    /// uncached.
+    pub fn write_failures(&self) -> u64 {
+        self.write_failures.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -260,7 +397,7 @@ mod tests {
             std::env::temp_dir().join(format!("rmm-serve-cache-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("cache.jsonl")
+        dir.join("cache")
     }
 
     #[test]
@@ -347,6 +484,10 @@ mod tests {
         let cache = CacheStore::open(Some(&path), 8).unwrap();
         assert!(cache.is_empty(), "other schema must start cold");
         assert!(cache.get(&key).is_none());
+        assert!(
+            !CacheStore::entry_path(&path, &key).exists(),
+            "the stale entry is deleted"
+        );
     }
 
     #[test]
@@ -363,23 +504,54 @@ mod tests {
                 cache.put(&key(seed), seed, cell);
             }
         }
-        // Simulate a kill mid-append: truncate the last line in half.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let keep = text.len() - text.lines().last().unwrap().len() / 2;
-        std::fs::write(&path, &text.as_bytes()[..keep]).unwrap();
+        // Simulate a torn write: truncate one entry's file in half.
+        let torn = CacheStore::entry_path(&path, &key(1));
+        let bytes = std::fs::read(&torn).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
         let cache = CacheStore::open(Some(&path), 7).unwrap();
+        assert!(cache.get(&key(1)).is_none());
         assert_eq!(
             cache.len(),
             2,
-            "intact prefix survives, torn tail is dropped"
+            "intact entries survive, the torn one is dropped"
         );
-        for (seed, cell) in (0..2).zip(&cells) {
+        for seed in [0, 2] {
             let back = cache.get(&key(seed)).expect("intact entry");
             assert_eq!(
                 back.write(seed, false),
-                joined(run_response_lines(seed, cell, false))
+                joined(run_response_lines(seed, &cells[seed as usize], false))
             );
         }
-        assert!(cache.get(&key(2)).is_none());
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.read_failures()),
+            (2, 1, 1)
+        );
+    }
+
+    #[test]
+    fn foreign_directory_is_refused_and_left_as_it_is() {
+        let dir = tmp("foreign");
+        let files = [
+            ("notes.txt", "keep me"),
+            ("BMMM_0x0000000000000001.entry", "not an entry"),
+            ("half.tmp", "not a write of ours"),
+        ];
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        for (name, text) in files {
+            std::fs::write(dir.join(name), text).unwrap();
+        }
+        let err = CacheStore::open(Some(&dir), 7).err().expect("refused");
+        assert!(err.to_string().contains("no cache header"), "{err}");
+        for (name, text) in files {
+            assert_eq!(std::fs::read_to_string(dir.join(name)).unwrap(), text);
+        }
+        assert!(dir.join("sub").is_dir());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 4);
+
+        // A file that is not a serve cache is refused and kept too.
+        let file = dir.join("notes.txt");
+        let err = CacheStore::open(Some(&file), 7).err().expect("refused");
+        assert!(err.to_string().contains("not a cache directory"), "{err}");
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), "keep me");
     }
 }

@@ -12,9 +12,10 @@
 //!    cache ([`CacheStore`]) keyed by a hash of exactly the inputs that
 //!    determine the output, as their response stream rendered once
 //!    ([`Rendered`]). A repeated sweep is answered entirely from cache,
-//!    byte-for-byte identical, with zero engine invocations — and the
-//!    cache file survives restarts because it *is* a crash-safe fleet
-//!    manifest.
+//!    byte-for-byte identical, with zero engine invocations — and a
+//!    cache directory survives restarts: each cell is one file, written
+//!    whole under a temporary name and renamed into place, and checked
+//!    against its digest when it is read back.
 //!
 //! The [`client`] module carries the other half of the contract: a
 //! serial in-process oracle plus a concurrent soak driver that

@@ -29,8 +29,8 @@
 //! about 6 MB per traced Table 2 cell.
 //!
 //! Graceful drain (`Shutdown` request or [`Server::begin_shutdown`]):
-//! stop accepting, refuse new engine work, finish in-flight jobs,
-//! flush the cache manifest, join every thread.
+//! stop accepting, refuse new engine work, finish in-flight jobs (each
+//! stores its cache entry before it answers), join every thread.
 
 use crate::cache::{cache_key, CacheStore};
 use crate::proto::{compute_cell, encode, Rendered, Request, Response, RunRequest, PROTO_VERSION};
@@ -72,7 +72,8 @@ pub struct ServeConfig {
     /// Bounded engine-queue depth; readers block (and TCP backpressure
     /// engages) once this many jobs are waiting.
     pub queue_cap: usize,
-    /// On-disk result cache (manifest format). `None` = memory-only.
+    /// On-disk result cache: a directory holding one file per cached
+    /// cell, created by the first cached cell. `None` = memory-only.
     pub cache_path: Option<PathBuf>,
     /// Suppress the startup line on stdout.
     pub quiet: bool,
@@ -126,6 +127,10 @@ impl Shared {
         reg.add(
             "serve_cache_read_failures_total",
             self.cache.read_failures(),
+        );
+        reg.add(
+            "serve_cache_write_failures_total",
+            self.cache.write_failures(),
         );
         reg.add("serve_cache_entries", self.cache.len() as u64);
         reg.add("serve_engine_runs_total", self.pool.executed());

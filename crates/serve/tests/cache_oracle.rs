@@ -1,8 +1,9 @@
 //! Oracle tests for the cached stream: what a hit writes is what
 //! `run_response_lines` renders for its id and cached flag, whichever
 //! store it comes from; a cache file in an earlier layout, or an entry
-//! damaged on disk, is never served; and a hit answers without waiting
-//! on TCP's delayed ACK.
+//! damaged on disk, is never served, and a damaged entry costs only
+//! itself; a failed cache write still answers and is counted; and a hit
+//! answers without waiting on TCP's delayed ACK.
 
 use rmm_fleet::{hex, Fnv1a, JobId, Manifest, ManifestHeader, MANIFEST_VERSION};
 use rmm_mac::ProtocolKind;
@@ -12,9 +13,9 @@ use rmm_serve::{
     PROTO_VERSION,
 };
 use rmm_workload::{scenario_schema_hash, Scenario};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn tiny() -> Scenario {
@@ -69,6 +70,17 @@ fn stop(server: Server, addr: &str) {
 
 fn metric(addr: &str, name: &str) -> u64 {
     parse_metric(&fetch_metrics(addr).unwrap(), name).unwrap()
+}
+
+/// Flips one byte of the stream stored in the entry file at `entry`.
+fn flip_started(entry: &Path) {
+    let mut bytes = std::fs::read(entry).unwrap();
+    let at = bytes
+        .windows(7)
+        .position(|w| w == b"Started")
+        .expect("the entry holds the stream");
+    bytes[at] = b's';
+    std::fs::write(entry, bytes).unwrap();
 }
 
 #[test]
@@ -158,13 +170,9 @@ fn flipped_entry_is_a_counted_miss_that_recomputes() {
     let cold = submit_one(&addr, &req).unwrap();
     assert_eq!(cold, local_lines(&req).unwrap());
 
-    // Flip one byte inside the stored stream, in place.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let at = text.find("Started").expect("the entry holds the stream");
-    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-    file.seek(SeekFrom::Start(at as u64)).unwrap();
-    file.write_all(b"s").unwrap();
-    drop(file);
+    // Flip one byte inside the stored stream, in the entry's own file.
+    let key = cache_key(ProtocolKind::Lamm, &req.scenario, req.seed, false, false);
+    flip_started(&CacheStore::entry_path(&path, &key));
 
     let again = submit_one(&addr, &req).unwrap();
     assert_eq!(again, cold, "the miss recomputes the right bytes");
@@ -182,6 +190,63 @@ fn flipped_entry_is_a_counted_miss_that_recomputes() {
     );
     assert_eq!(metric(&addr, "rmm_serve_cache_hits_total"), 1);
     assert_eq!(metric(&addr, "rmm_serve_cache_read_failures_total"), 1);
+    stop(server, &addr);
+}
+
+#[test]
+fn damaged_entry_costs_only_itself_across_a_restart() {
+    let path = tmp_cache("damaged");
+    let reqs: Vec<RunRequest> = (0..4).map(|i| run_req(i, "bmmm", 30 + i)).collect();
+    let (server, addr) = start(Some(path.clone()));
+    let cold: Vec<Vec<String>> = reqs.iter().map(|r| submit_one(&addr, r).unwrap()).collect();
+    stop(server, &addr);
+
+    let first = &reqs[0];
+    let key = cache_key(
+        ProtocolKind::Bmmm,
+        &first.scenario,
+        first.seed,
+        false,
+        false,
+    );
+    flip_started(&CacheStore::entry_path(&path, &key));
+
+    let (server, addr) = start(Some(path.clone()));
+    for (i, (req, cold)) in reqs.iter().zip(&cold).enumerate() {
+        assert_eq!(cold, &local_lines(req).unwrap());
+        let mut want = cold.clone();
+        if i > 0 {
+            let result = want.last_mut().unwrap();
+            *result = result.replacen("\"cached\":false", "\"cached\":true", 1);
+        }
+        assert_eq!(submit_one(&addr, req).unwrap(), want, "request {i}");
+    }
+    assert_eq!(metric(&addr, "rmm_serve_cache_hits_total"), 3);
+    assert_eq!(metric(&addr, "rmm_serve_cache_read_failures_total"), 1);
+    assert_eq!(metric(&addr, "rmm_serve_cache_misses_total"), 1);
+    assert_eq!(metric(&addr, "rmm_serve_engine_runs_total"), 1);
+    assert_eq!(metric(&addr, "rmm_serve_cache_entries"), 4);
+    stop(server, &addr);
+}
+
+#[test]
+fn failed_cache_write_is_counted_and_the_cell_stays_uncached() {
+    let path = tmp_cache("write-failure");
+    let (server, addr) = start(Some(path.clone()));
+    let req = run_req(6, "bmw", 9);
+    // A directory where the entry's file belongs: the rename fails.
+    let key = cache_key(ProtocolKind::Bmw, &req.scenario, req.seed, false, false);
+    std::fs::create_dir_all(CacheStore::entry_path(&path, &key)).unwrap();
+
+    let want = local_lines(&req).unwrap();
+    assert_eq!(submit_one(&addr, &req).unwrap(), want);
+    assert_eq!(metric(&addr, "rmm_serve_cache_write_failures_total"), 1);
+    assert_eq!(metric(&addr, "rmm_serve_cache_entries"), 0);
+    assert_eq!(submit_one(&addr, &req).unwrap(), want, "a miss again");
+    assert_eq!(metric(&addr, "rmm_serve_cache_misses_total"), 2);
+    assert_eq!(metric(&addr, "rmm_serve_cache_hits_total"), 0);
+    assert_eq!(metric(&addr, "rmm_serve_engine_runs_total"), 2);
+    assert_eq!(metric(&addr, "rmm_serve_cache_read_failures_total"), 0);
     stop(server, &addr);
 }
 
