@@ -63,19 +63,34 @@ where
     // there is no contention and no unsafe indexing.
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (next, slots, run, on_start, on_finish) =
-                (&next, &slots, &run, &on_start, &on_finish);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                on_start(w, i);
-                let r = run(w, &jobs[i]);
-                on_finish(w, i, &r);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (next, slots, run, on_start, on_finish) =
+                    (&next, &slots, &run, &on_start, &on_finish);
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    on_start(w, i);
+                    let r = run(w, &jobs[i]);
+                    on_finish(w, i, &r);
+                    *slots[i].lock().expect("result slot poisoned") = Some(r);
+                })
+            })
+            .collect();
+        // Join every worker instead of letting the scope wait for them.
+        // The scope returns once a worker's closure ends. `join` also waits
+        // for its thread to exit, which hands the thread's malloc arena
+        // back for reuse. Without it, a worker spawned by the next call
+        // could race that hand-back and get a fresh arena. Both arenas
+        // would then stay resident, so peak memory would depend on thread
+        // timing.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        for result in joined {
+            if let Err(panic) = result {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -167,6 +182,42 @@ mod tests {
             x * 10
         });
         assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn workers_have_exited_when_the_call_returns() {
+        // A thread's thread-local destructors run as it exits, after its
+        // closure has ended. Each slow one has finished by the time the
+        // call returns only if the call joins its workers.
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct Exit;
+        impl Drop for Exit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static EXIT: Exit = const { Exit });
+        // Two jobs meeting at a barrier: each of the two workers runs one.
+        let barrier = std::sync::Barrier::new(2);
+        for round in 1..=5 {
+            run_parallel(2, &[0, 1], |_, _| {
+                EXIT.with(|_| ());
+                barrier.wait();
+            });
+            assert_eq!(EXITED.load(Ordering::SeqCst), 2 * round);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 failed")]
+    fn a_job_panic_propagates_with_its_payload() {
+        let jobs: Vec<usize> = (0..8).collect();
+        run_parallel(2, &jobs, |_, &x| {
+            if x == 3 {
+                panic!("job 3 failed");
+            }
+        });
     }
 
     #[test]

@@ -15,9 +15,13 @@ pub const TAU: f64 = std::f64::consts::TAU;
 pub const DEG: f64 = std::f64::consts::PI / 180.0;
 
 /// Normalizes an angle into `[0, 2π)`.
+///
+/// `%` is a libm `fmod` call, and for `|a| < 2π` it returns `a` itself,
+/// so in-range angles (every cover angle's) skip it: the result is bit
+/// for bit that of `a % TAU` and the folding below.
 #[inline]
 pub fn normalize_angle(a: f64) -> f64 {
-    let mut a = a % TAU;
+    let mut a = if a.abs() < TAU { a } else { a % TAU };
     if a < 0.0 {
         a += TAU;
     }

@@ -8,8 +8,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rmm_geom::coverset::EXACT_MCS_LIMIT;
 use rmm_geom::{
-    cover_angle, covers_disk, greedy_cover_set, is_cover_set, min_cover_set, update_uncovered, Arc,
-    ArcSet, CoverAngle, Point, EPS, TAU,
+    cover_angle, covers_disk, greedy_cover_set, is_cover_set, min_cover_set, normalize_angle,
+    update_uncovered, Arc, ArcSet, CoverAngle, Point, EPS, TAU,
 };
 
 const R: f64 = 0.2;
@@ -407,6 +407,79 @@ proptest! {
             pushed.push(arc);
         }
         prop_assert_eq!(pushed.covers_full_circle(), reference_covers_full_circle(&kept));
+    }
+}
+
+/// Reference `normalize_angle`: `%` (libm `fmod`) on every input, with
+/// no in-range fast path.
+fn reference_normalize_angle(a: f64) -> f64 {
+    let mut a = a % TAU;
+    if a < 0.0 {
+        a += TAU;
+    }
+    if a >= TAU {
+        a = 0.0;
+    }
+    a
+}
+
+/// Angles near and inside `±2π`, and any bit pattern at all.
+fn angle_input() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -TAU..TAU,
+        -20.0f64..20.0,
+        (0u64..64, any::<bool>()).prop_map(|(ulps, up)| {
+            let bits = if up {
+                TAU.next_up().to_bits() + ulps
+            } else {
+                TAU.next_down().to_bits() - ulps
+            };
+            f64::from_bits(bits)
+        }),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The in-range fast path returns what `fmod` would, bit for bit.
+    #[test]
+    fn normalize_angle_matches_fmod(a in angle_input(), negate in any::<bool>()) {
+        let a = if negate { -a } else { a };
+        prop_assert_eq!(
+            normalize_angle(a).to_bits(),
+            reference_normalize_angle(a).to_bits(),
+            "{:e}",
+            a
+        );
+    }
+}
+
+/// The edges of the fast path: signed zeros, `±2π` and their neighbors,
+/// tiny negatives that round to `2π`, subnormals, infinities and NaN.
+#[test]
+fn normalize_angle_matches_fmod_at_the_edges() {
+    let subnormal = f64::MIN_POSITIVE / 3.0;
+    let edges = [
+        0.0,
+        TAU,
+        TAU.next_down(),
+        TAU.next_up(),
+        1e-30,
+        subnormal,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    for a in edges.into_iter().flat_map(|a| [a, -a]) {
+        assert_eq!(
+            normalize_angle(a).to_bits(),
+            reference_normalize_angle(a).to_bits(),
+            "{a:e}"
+        );
     }
 }
 

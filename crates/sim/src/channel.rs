@@ -30,6 +30,24 @@
 //!   audible at one station; every list entry is a denormalized
 //!   [`AirRef`] carrying the interference window (start/end/sender/kind)
 //!   inline, so the hot scans never chase the record slab,
+//! * **busy-period audible lists**: a launch empties a neighbor's list
+//!   first if that neighbor's medium has fallen idle (its carrier
+//!   watermark is at or before the launch slot). Every listed record
+//!   then ended and was resolved, since a slot's resolution precedes
+//!   its launches, and none can overlap a frame launched from now on.
+//!   So a record is never taken out of its receivers' lists one by one:
+//!   pruning frees the slab slot and the sender's `own` entry only, and
+//!   a list keeps stale entries of pruned records until its receiver's
+//!   next idle launch. A receiver whose medium never falls idle has its
+//!   list trimmed of prunable records whenever it doubles (see
+//!   [`Audible`]), so every list stays bounded,
+//! * **one verdict per synchronized pile-up per receiver**: frames that
+//!   end in the same slot overlap, so when one of them reaches a
+//!   receiver as a synchronized control pile-up, every frame ending
+//!   there in that slot is in the same pile-up. The first member
+//!   resolved there finds the strongest sender; the others return at
+//!   once unless they are the strongest, which alone draws capture and
+//!   frame errors, as it always did,
 //! * **per-station carrier watermarks** (`air_until`) raised at launch
 //!   over the sender and its neighborhood, so carrier sense
 //!   ([`Channel::busy_prev_slot`]) and global airtime occupancy
@@ -42,6 +60,10 @@
 //! and the airtime ledger are bit-identical to the naive full-rescan
 //! reference in [`reference`], which doubles as a differential oracle via
 //! [`Channel::enable_crosscheck`].
+//!
+//! Frames are shared through [`Rc`], not `Arc`: an engine and its
+//! channel are built, run and dropped on one thread, so the per-reception
+//! count changes need not be atomic.
 
 pub mod reference;
 
@@ -53,7 +75,7 @@ use crate::ledger::AirtimeLedger;
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A frame on the air, occupying slots `[start, end)`. The frame payload
 /// is reference-counted so multicast delivery shares one allocation
@@ -61,7 +83,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Transmission {
     /// The frame being transmitted.
-    pub frame: Arc<Frame>,
+    pub frame: Rc<Frame>,
     /// First occupied slot.
     pub start: Slot,
     /// One past the last occupied slot.
@@ -81,13 +103,13 @@ impl Transmission {
 }
 
 /// A successfully decoded frame, to be delivered to `receiver`. Every
-/// receiver of a multicast frame shares the same [`Arc`]ed payload.
+/// receiver of a multicast frame shares the same [`Rc`]ed payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reception {
     /// Station that decoded the frame.
     pub receiver: NodeId,
     /// The decoded frame.
-    pub frame: Arc<Frame>,
+    pub frame: Rc<Frame>,
     /// Whether decoding required the capture effect.
     pub captured: bool,
 }
@@ -217,15 +239,69 @@ impl AirRef {
     }
 }
 
-/// Removes one occurrence of `idx` from a bookkeeping list. The lists
-/// are tiny (records audible at one station within the interference
-/// window), so a linear scan + `swap_remove` beats any fancier
-/// structure; entry order within these lists is not observable.
-#[inline]
-fn list_remove(list: &mut Vec<AirRef>, idx: u32) {
-    if let Some(pos) = list.iter().position(|e| e.idx == idx) {
-        list.swap_remove(pos);
+/// The records audible at one receiver since its medium last fell idle.
+///
+/// Entries of pruned records stay until the next idle launch clears the
+/// list; they ended at or before the prune horizon, so they overlap no
+/// frame still to be resolved, and resolution reads only their inline
+/// window (a reused slab index among them is harmless). A medium that
+/// never falls idle (hidden senders alternating back to back) would let
+/// the list grow without end, so reaching `trim_at` entries drops every
+/// record the pruner would free and sets `trim_at` to twice what is
+/// left, at least [`Audible::TRIM_FLOOR`]: amortized O(1) per launch,
+/// and a list never holds more than `max(TRIM_FLOOR, 2 × the records
+/// it kept at its last trim)` entries.
+#[derive(Debug, Clone)]
+struct Audible {
+    recs: Vec<AirRef>,
+    trim_at: usize,
+}
+
+impl Audible {
+    /// Smallest list length that triggers a trim.
+    const TRIM_FLOOR: usize = 16;
+
+    fn new() -> Self {
+        Audible {
+            recs: Vec::new(),
+            trim_at: Self::TRIM_FLOOR,
+        }
     }
+
+    /// Lists `e`, launched at `now`. `air_until` is the receiver's
+    /// carrier watermark before the launch; records ended at or before
+    /// `horizon` can no longer interfere.
+    #[inline]
+    fn push(&mut self, e: AirRef, now: Slot, air_until: Slot, horizon: Slot) {
+        if air_until <= now {
+            self.recs.clear();
+        } else if self.recs.len() >= self.trim_at {
+            self.recs.retain(|t| t.end > horizon);
+            self.trim_at = (2 * self.recs.len()).max(Self::TRIM_FLOOR);
+        }
+        self.recs.push(e);
+    }
+}
+
+/// Scratch state of one resolution pass, moved out of the channel while
+/// the pass borrows it, so no slot allocates.
+#[derive(Debug, Default)]
+struct ResolveScratch {
+    /// Records ending at the resolved slot.
+    ended: Vec<AirRef>,
+    /// Interferers at one receiver.
+    interferers: Vec<AirRef>,
+    /// Slot intervals of frames destroyed by collisions, drained into
+    /// the ledger after the pass.
+    collided: Vec<(Slot, Slot)>,
+    /// Recycled `CollisionEvent::senders` vectors, refilled from the
+    /// previous slot's outcome so saturated resolution does not allocate
+    /// per collision event.
+    sender_pool: Vec<Vec<NodeId>>,
+    /// Per receiver: the end slot and strongest sender of the last
+    /// synchronized pile-up resolved there. No frame ends at slot 0, so
+    /// `(0, _)` is never current.
+    pileups: Vec<(Slot, NodeId)>,
 }
 
 /// The shared radio medium.
@@ -253,11 +329,12 @@ pub struct Channel {
     /// ending at `end`, in launch order. Ring length `2 * max_len + 2`
     /// keeps live ends collision-free.
     ends: Vec<Vec<AirRef>>,
-    /// Per-receiver audible records: `audible[r]` holds every retained
-    /// record whose sender is in range of `r` (under the current
-    /// topology). Maintained at launch/expiry and rebuilt by
+    /// Per-receiver audible records: `audible[r]` holds every record
+    /// whose sender is in range of `r` (under the current topology) and
+    /// that is still retained or was launched since `r`'s medium last
+    /// fell idle. Maintained at launch and rebuilt by
     /// [`Channel::retune`].
-    audible: Vec<Vec<AirRef>>,
+    audible: Vec<Audible>,
     /// Per-sender on-air records: `own[s]` holds every retained record
     /// sent by `s` (half-duplex checks, [`Channel::is_transmitting`]).
     own: Vec<Vec<AirRef>>,
@@ -271,17 +348,8 @@ pub struct Channel {
     air_until: Vec<Slot>,
     /// Next end slot the pruner will drain (monotone).
     prune_cursor: Slot,
-    /// Scratch: records ending at the resolved slot.
-    ended_scratch: Vec<AirRef>,
-    /// Scratch: interferers at one receiver.
-    interferer_scratch: Vec<AirRef>,
-    /// Recycled `CollisionEvent::senders` vectors, refilled from the
-    /// previous slot's outcome so saturated resolution does not allocate
-    /// per collision event.
-    sender_pool: Vec<Vec<NodeId>>,
-    /// Scratch: slot intervals of frames destroyed by collisions during
-    /// one resolution pass, drained into the ledger afterwards.
-    collided_scratch: Vec<(Slot, Slot)>,
+    /// Resolution scratch and the per-receiver pile-up verdicts.
+    scratch: ResolveScratch,
     /// Per-slot airtime classification (idle / data / control /
     /// collision), stamped as transmissions start and resolve.
     ledger: AirtimeLedger,
@@ -324,10 +392,7 @@ impl Channel {
             own: Vec::new(),
             air_until: Vec::new(),
             prune_cursor: 0,
-            ended_scratch: Vec::new(),
-            interferer_scratch: Vec::new(),
-            sender_pool: Vec::new(),
-            collided_scratch: Vec::new(),
+            scratch: ResolveScratch::default(),
             ledger: AirtimeLedger::new(),
             fer: 0.0,
             burst: None,
@@ -427,9 +492,10 @@ impl Channel {
             "channel topology changed while transmissions are retained — use retune()"
         );
         self.n_nodes = topo.len();
-        self.audible = vec![Vec::new(); self.n_nodes];
+        self.audible = vec![Audible::new(); self.n_nodes];
         self.own = vec![Vec::new(); self.n_nodes];
         self.air_until = vec![0; self.n_nodes];
+        self.scratch.pileups = vec![(0, NodeId(0)); self.n_nodes];
     }
 
     /// Rebinds the index structures to a changed topology (node
@@ -443,8 +509,10 @@ impl Channel {
             return;
         }
         for list in &mut self.audible {
-            list.clear();
+            list.recs.clear();
         }
+        // A pile-up verdict describes the old geometry.
+        self.scratch.pileups.fill((0, NodeId(0)));
         // Records audible under the old geometry may not be under the
         // new one, so the watermarks restart from scratch. Every
         // retained record started in the past, so the rebuilt
@@ -458,7 +526,7 @@ impl Channel {
             let w = &mut self.air_until[e.src.index()];
             *w = (*w).max(e.end);
             for &r in topo.neighbors(e.src) {
-                self.audible[r.index()].push(e);
+                self.audible[r.index()].recs.push(e);
                 let w = &mut self.air_until[r.index()];
                 *w = (*w).max(e.end);
             }
@@ -488,9 +556,12 @@ impl Channel {
     /// Starts a transmission at slot `now`. The topology supplies the
     /// audibility sets the incremental indexes are keyed on; it must be
     /// the same one later resolution calls use (the engine guarantees
-    /// this, and re-keys via [`Channel::retune`] on mobility). Panics
-    /// (debug) if the sender already has a frame on the air — MAC layers
-    /// are half-duplex.
+    /// this, and re-keys via [`Channel::retune`] on mobility). Every
+    /// frame ending at or before `now` must already be resolved, as the
+    /// engine's phase order guarantees: a neighbor whose medium has
+    /// fallen idle forgets its audible records here. Panics (debug) if
+    /// the sender already has a frame on the air — MAC layers are
+    /// half-duplex.
     pub fn begin_tx(&mut self, frame: Frame, now: Slot, topo: &Topology) {
         self.bind(topo);
         debug_assert!(
@@ -512,7 +583,7 @@ impl Channel {
         let src = frame.src;
         let rec = Rec {
             tx: Transmission {
-                frame: Arc::new(frame),
+                frame: Rc::new(frame),
                 start: now,
                 end,
             },
@@ -536,9 +607,10 @@ impl Channel {
         self.own[src.index()].push(e);
         let w = &mut self.air_until[src.index()];
         *w = (*w).max(end);
+        let horizon = now.saturating_sub(Slot::from(self.max_len));
         for &r in topo.neighbors(src) {
-            self.audible[r.index()].push(e);
             let w = &mut self.air_until[r.index()];
+            self.audible[r.index()].push(e, now, *w, horizon);
             *w = (*w).max(end);
         }
     }
@@ -602,27 +674,26 @@ impl Channel {
         rng: &mut SmallRng,
         outcome: &mut SlotOutcome,
     ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
         // Recycle the previous slot's collision sender lists before the
         // outcome is cleared: collision events are the only per-event
         // allocation left on the saturated resolve path.
         for c in outcome.collisions.drain(..) {
-            if self.sender_pool.len() < 64 {
+            if scratch.sender_pool.len() < 64 {
                 let mut v = c.senders;
                 v.clear();
-                self.sender_pool.push(v);
+                scratch.sender_pool.push(v);
             }
         }
         outcome.clear();
         if self.quiescent_at(now) {
+            self.scratch = scratch;
             return;
         }
         let shadow_rng = self.shadow.as_ref().map(|_| rng.clone());
-        let mut ended = std::mem::take(&mut self.ended_scratch);
-        let mut interferers = std::mem::take(&mut self.interferer_scratch);
-        let mut collided = std::mem::take(&mut self.collided_scratch);
-        let mut senders_pool = std::mem::take(&mut self.sender_pool);
+        let mut ended = std::mem::take(&mut scratch.ended);
         ended.clear();
-        collided.clear();
+        scratch.collided.clear();
         let er = self.ends.len() as u64;
         // Bucket order is launch order, matching the naive reference's
         // scan order — observable through burst-chain stepping and trace
@@ -637,26 +708,14 @@ impl Channel {
         for &e in &ended {
             let f = &self.rec(e.idx).tx;
             for &r in topo.neighbors(e.src) {
-                self.resolve_at_receiver(
-                    f,
-                    e,
-                    r,
-                    topo,
-                    rng,
-                    outcome,
-                    &mut interferers,
-                    &mut collided,
-                    &mut senders_pool,
-                );
+                self.resolve_at_receiver(f, e, r, topo, rng, outcome, &mut scratch);
             }
         }
-        for &(s, e) in &collided {
+        for &(s, e) in &scratch.collided {
             self.ledger.mark_collided(s, e);
         }
-        self.ended_scratch = ended;
-        self.interferer_scratch = interferers;
-        self.collided_scratch = collided;
-        self.sender_pool = senders_pool;
+        scratch.ended = ended;
+        self.scratch = scratch;
         if let Some(burst) = &mut self.burst {
             self.burst_errors_total += burst.apply(outcome);
         }
@@ -711,10 +770,18 @@ impl Channel {
         topo: &Topology,
         rng: &mut SmallRng,
         outcome: &mut SlotOutcome,
-        interferers: &mut Vec<AirRef>,
-        collided: &mut Vec<(Slot, Slot)>,
-        senders_pool: &mut Vec<Vec<NodeId>>,
+        scratch: &mut ResolveScratch,
     ) {
+        // A synchronized pile-up already judged here this slot: `e` is
+        // one of its members (frames ending together overlap), and only
+        // the strongest member has anything left to do. The first
+        // member passed the half-duplex check for the shared interval,
+        // and its collided intervals cover this frame's.
+        let (slot, strongest) = scratch.pileups[receiver.index()];
+        let judged = slot == e.end;
+        if judged && strongest != e.src {
+            return;
+        }
         // Half-duplex: a station transmitting during the frame hears
         // nothing. Only the receiver's own on-air records are scanned.
         if self.own[receiver.index()]
@@ -726,9 +793,11 @@ impl Channel {
         // Interferers: other transmissions audible at the receiver that
         // overlap this frame in time. The audible list already encodes
         // the in-range predicate.
+        let interferers = &mut scratch.interferers;
         interferers.clear();
         interferers.extend(
             self.audible[receiver.index()]
+                .recs
                 .iter()
                 .copied()
                 .filter(|t| t.idx != e.idx && t.overlaps(e.start, e.end)),
@@ -740,7 +809,7 @@ impl Channel {
             }
             outcome.receptions.push(Reception {
                 receiver,
-                frame: Arc::clone(&f.frame),
+                frame: Rc::clone(&f.frame),
                 captured: false,
             });
             return;
@@ -750,6 +819,7 @@ impl Channel {
         // (even a capture rescue destroys the other frames of the
         // pile-up). Marking is idempotent per interval, so the dedup
         // here only trims repeated ledger calls.
+        let collided = &mut scratch.collided;
         let iv = (e.start, e.end);
         if !collided.contains(&iv) {
             collided.push(iv);
@@ -770,20 +840,27 @@ impl Channel {
                 .all(|t| t.ctrl && t.start == e.start && t.end == e.end);
 
         let mut captured = None;
+        let senders_pool = &mut scratch.sender_pool;
         if synchronized {
             // Strongest signal = nearest sender (ties broken by id), per
             // the DS capture model.
-            let strongest = interferers
-                .iter()
-                .map(|t| t.src)
-                .chain(std::iter::once(e.src))
-                .min_by(|&a, &b| {
-                    topo.distance(receiver, a)
-                        .partial_cmp(&topo.distance(receiver, b))
-                        .expect("distances are finite")
-                        .then(a.cmp(&b))
-                })
-                .expect("at least one sender");
+            let strongest = if judged {
+                strongest
+            } else {
+                let strongest = interferers
+                    .iter()
+                    .map(|t| t.src)
+                    .chain(std::iter::once(e.src))
+                    .min_by(|&a, &b| {
+                        topo.distance(receiver, a)
+                            .partial_cmp(&topo.distance(receiver, b))
+                            .expect("distances are finite")
+                            .then(a.cmp(&b))
+                    })
+                    .expect("at least one sender");
+                scratch.pileups[receiver.index()] = (e.end, strongest);
+                strongest
+            };
             // Exactly one capture draw per pile-up per receiver: perform it
             // when resolving the strongest frame (only it can be captured).
             if strongest == e.src {
@@ -794,7 +871,7 @@ impl Channel {
                     captured = Some(strongest);
                     outcome.receptions.push(Reception {
                         receiver,
-                        frame: Arc::clone(&f.frame),
+                        frame: Rc::clone(&f.frame),
                         captured: true,
                     });
                 }
@@ -834,10 +911,10 @@ impl Channel {
     /// one of them started before `e`, and any such frame has length
     /// greater than `now - e`; beyond the longest frame length seen, the
     /// record is garbage. Drains the end-bucket ring in end order, so
-    /// each call is O(records actually expiring), and unregisters each
-    /// record from the per-node lists (`topo` supplies the audibility
-    /// sets — the same topology resolution uses).
-    pub fn prune(&mut self, now: Slot, topo: &Topology) {
+    /// each call is O(records actually expiring): each record leaves its
+    /// sender's on-air list, and its receivers' audible lists forget it
+    /// at their next idle launch or trim (see [`Audible`]).
+    pub fn prune(&mut self, now: Slot) {
         let Some(limit) = now.checked_sub(Slot::from(self.max_len)) else {
             return;
         };
@@ -858,13 +935,12 @@ impl Channel {
                 for i in 0..bucket.len() {
                     let e = bucket[i];
                     if e.end == self.prune_cursor {
-                        let rec = self.slab[e.idx as usize]
+                        self.slab[e.idx as usize]
                             .take()
                             .expect("end buckets only hold live records");
-                        let src = rec.tx.frame.src;
-                        list_remove(&mut self.own[src.index()], e.idx);
-                        for &r in topo.neighbors(src) {
-                            list_remove(&mut self.audible[r.index()], e.idx);
+                        let own = &mut self.own[e.src.index()];
+                        if let Some(pos) = own.iter().position(|o| o.idx == e.idx) {
+                            own.swap_remove(pos);
                         }
                         self.free.push(e.idx);
                         self.live -= 1;
@@ -1135,7 +1211,7 @@ mod tests {
         // predicate stays false; once pruned it stays false too.
         let _ = ch.resolve_ended(3, &topo, &mut r);
         let _ = ch.resolve_ended(7, &topo, &mut r);
-        ch.prune(100, &topo);
+        ch.prune(100);
         assert_eq!(ch.records(), 0);
         assert!(!ch.is_transmitting(nid(0), 4));
     }
@@ -1153,13 +1229,13 @@ mod tests {
         );
         ch.begin_tx(rts(2, 1), 0, &topo);
         let _ = ch.resolve_ended(1, &topo, &mut r);
-        ch.prune(1, &topo);
+        ch.prune(1);
         // The ended control frame must survive pruning: it still overlaps
         // the ongoing data frame and must destroy it at slot 5.
         let out = ch.resolve_ended(5, &topo, &mut r);
         assert!(out.receptions.is_empty());
         // Eventually records are dropped.
-        ch.prune(100, &topo);
+        ch.prune(100);
         assert_eq!(ch.records(), 0);
     }
 
@@ -1176,7 +1252,7 @@ mod tests {
             let out = ch.resolve_ended(i * 2 + 1, &topo, &mut r);
             assert!(out.receptions.is_empty());
             assert_eq!(out.burst_errors.len(), 2, "receivers 0 and 2");
-            ch.prune(i * 2 + 1, &topo);
+            ch.prune(i * 2 + 1);
         }
         assert_eq!(ch.burst_errors_total, 10);
     }
@@ -1247,9 +1323,65 @@ mod tests {
             if slot % 7 == 0 && !ch.is_transmitting(nid(1), slot) {
                 ch.begin_tx(rts(1, 0), slot, &topo);
             }
-            ch.prune(slot, &topo);
+            ch.prune(slot);
         }
         assert!(total > 0, "schedule produced no channel activity");
+    }
+
+    #[test]
+    fn audible_list_resets_when_the_medium_falls_idle() {
+        let topo = hidden_terminal_topo();
+        let mut ch = Channel::new(Capture::None);
+        let mut r = rng();
+        // 0 sends to 1 with gaps: every launch finds 1's medium idle and
+        // its list holding only the frames since, though pruning never
+        // takes a record out of it.
+        for slot in 0..40u64 {
+            let _ = ch.resolve_ended(slot, &topo, &mut r);
+            if slot % 3 == 0 {
+                ch.begin_tx(rts(0, 1), slot, &topo);
+                assert_eq!(ch.audible[1].recs.len(), 1, "slot {slot}");
+            }
+            ch.prune(slot);
+        }
+    }
+
+    #[test]
+    fn audible_list_stays_bounded_when_the_medium_never_idles() {
+        // Hidden senders 0 and 2 alternate staggered 4-slot frames back
+        // to back into 1, so 1's medium never falls idle and no launch
+        // clears its list: only the trim bounds it.
+        let topo = hidden_terminal_topo();
+        let mut ch = Channel::new(Capture::ZorziRao);
+        ch.enable_crosscheck();
+        let mut r = rng();
+        let mut longest = 0;
+        let mut collisions = 0;
+        for slot in 0..4000u64 {
+            let out = ch.resolve_ended(slot, &topo, &mut r);
+            collisions += out.collisions.len();
+            if slot > 0 {
+                assert!(ch.busy_prev_slot(nid(1), slot, &topo), "slot {slot}");
+            }
+            if slot % 2 == 0 {
+                let src = (slot % 4) as u32;
+                ch.begin_tx(
+                    Frame::data(nid(src), Dest::Node(nid(1)), 0, mid(src), 4),
+                    slot,
+                    &topo,
+                );
+                longest = longest.max(ch.audible[1].recs.len());
+            }
+            ch.prune(slot);
+        }
+        assert!(
+            longest <= Audible::TRIM_FLOOR,
+            "receiver 1 listed {longest} records, bound {}",
+            Audible::TRIM_FLOOR
+        );
+        // Every frame overlaps the other sender's, so each of the 1 998
+        // that end within the run (all but the last two) collides at 1.
+        assert_eq!(collisions, 1998);
     }
 
     #[test]
@@ -1269,12 +1401,12 @@ mod tests {
         );
         for slot in 2..=12 {
             let _ = ch.resolve_ended(slot, &topo, &mut r);
-            ch.prune(slot, &topo);
+            ch.prune(slot);
         }
         // The 9-slot frame's record stays until its interference window
         // closes (end 10 + max_len 9), then pruning drains it.
         assert_eq!(ch.records(), 1);
-        ch.prune(19, &topo);
+        ch.prune(19);
         assert_eq!(ch.records(), 0);
     }
 }

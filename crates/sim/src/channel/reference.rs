@@ -22,7 +22,7 @@ use crate::ledger::AirtimeLedger;
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The shared radio medium, resolved by exhaustive rescans.
 #[derive(Debug)]
@@ -95,7 +95,7 @@ impl ReferenceChannel {
         self.latest_end = self.latest_end.max(end);
         self.ledger.mark_tx(frame.kind, now, end);
         self.transmissions.push(Transmission {
-            frame: Arc::new(frame),
+            frame: Rc::new(frame),
             start: now,
             end,
         });
@@ -227,7 +227,7 @@ impl ReferenceChannel {
             }
             outcome.receptions.push(Reception {
                 receiver,
-                frame: Arc::clone(&f.frame),
+                frame: Rc::clone(&f.frame),
                 captured: false,
             });
             return;
@@ -266,7 +266,7 @@ impl ReferenceChannel {
                     captured = Some(strongest);
                     outcome.receptions.push(Reception {
                         receiver,
-                        frame: Arc::clone(&f.frame),
+                        frame: Rc::clone(&f.frame),
                         captured: true,
                     });
                 }

@@ -703,7 +703,7 @@ impl Engine {
         if self.channel.any_active(now) {
             self.channel.busy_slots += 1;
         }
-        self.channel.prune(now, &self.topo);
+        self.channel.prune(now);
         self.lap(&mut mark, Phase::TxLaunch);
         self.now = now + 1;
     }

@@ -15,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rmm_geom::Point;
 use rmm_sim::channel::reference::ReferenceChannel;
-use rmm_sim::{Capture, Channel, Dest, Frame, FrameKind, MsgId, NodeId, Topology};
+use rmm_sim::{Capture, Channel, Dest, Frame, FrameKind, MsgId, NodeId, Slot, Topology};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -96,10 +96,89 @@ proptest! {
                 fast.begin_tx(frame.clone(), now, &topo);
                 naive.begin_tx(frame, now);
             }
-            fast.prune(now, &topo);
+            fast.prune(now);
             naive.prune(now);
         }
         prop_assert_eq!(fast.ledger(), naive.ledger(), "airtime ledgers diverged");
         prop_assert!(!fast.any_active(96), "channel failed to drain");
     }
+}
+
+/// Receiver 0 at the center of `k` senders: on one ring (equidistant,
+/// so only the id tie-break picks the strongest), or nearest-first or
+/// nearest-last in launch order. Node `k + 1` hears only the senders on
+/// its side.
+fn pileup_topology(k: usize, layout: usize) -> Topology {
+    let mut pts = vec![Point::new(0.5, 0.5)];
+    for i in 0..k {
+        let a = i as f64 * std::f64::consts::TAU / k as f64;
+        let d = match layout {
+            0 => 0.1,
+            1 => 0.05 + 0.01 * i as f64,
+            _ => 0.16 - 0.01 * i as f64,
+        };
+        pts.push(Point::new(0.5 + d * a.cos(), 0.5 + d * a.sin()));
+    }
+    pts.push(Point::new(0.75, 0.5));
+    Topology::new(pts, 0.2)
+}
+
+/// k = 2…12 CTS frames launched in one slot around one receiver, under
+/// ZorziRao capture and FER 0.15 with the shadow crosscheck on: one
+/// member of each pile-up judges it at each receiver, and the outcomes
+/// and draws must still be the naive reference's, with one collision
+/// event per pile-up at the center. Each pile-up is a fresh subset of
+/// the k senders, so its strongest member changes from one to the next.
+#[test]
+fn synchronized_pileups_match_the_reference() {
+    use rand::Rng;
+    let mut captured = 0;
+    for k in 2..=12usize {
+        for layout in 0..3 {
+            let topo = pileup_topology(k, layout);
+            let mut fast = Channel::new(Capture::ZorziRao);
+            fast.set_fer(0.15);
+            fast.enable_crosscheck();
+            let mut naive = ReferenceChannel::new(Capture::ZorziRao);
+            naive.set_fer(0.15);
+            let mut rng_fast = SmallRng::seed_from_u64((k * 3 + layout) as u64);
+            let mut rng_naive = rng_fast.clone();
+            let mut schedule = SmallRng::seed_from_u64(!((k * 3 + layout) as u64));
+            let mut members = Vec::new();
+            for now in 0..300 as Slot {
+                let out_fast = fast.resolve_ended(now, &topo, &mut rng_fast);
+                let out_naive = naive.resolve_ended(now, &topo, &mut rng_naive);
+                assert_eq!(out_fast, out_naive, "k={k} layout {layout} slot {now}");
+                assert!(rng_fast == rng_naive, "k={k} layout {layout} slot {now}");
+                if now % 2 == 1 {
+                    let at_center: Vec<_> = out_fast
+                        .collisions
+                        .iter()
+                        .filter(|c| c.receiver == NodeId(0))
+                        .collect();
+                    assert_eq!(at_center.len(), 1, "k={k} layout {layout} slot {now}");
+                    assert_eq!(at_center[0].senders, members);
+                    captured += usize::from(at_center[0].captured.is_some());
+                } else {
+                    members.clear();
+                    while members.len() < 2 {
+                        members = (1..=k as u32)
+                            .filter(|_| schedule.random::<bool>())
+                            .map(NodeId)
+                            .collect();
+                    }
+                    for &src in &members {
+                        let msg = MsgId::new(src, now as u32);
+                        let cts =
+                            Frame::control(FrameKind::Cts, src, Dest::Node(NodeId(0)), 0, msg);
+                        fast.begin_tx(cts.clone(), now, &topo);
+                        naive.begin_tx(cts, now);
+                    }
+                }
+                fast.prune(now);
+                naive.prune(now);
+            }
+        }
+    }
+    assert!(captured > 0, "no pile-up was ever captured");
 }

@@ -1,8 +1,18 @@
 //! Traffic generation: Bernoulli per-node arrivals with the paper's
 //! unicast / multicast / broadcast mix.
+//!
+//! Every slot draws one uniform per station, so at the paper's rate
+//! (5·10⁻⁴) the arrival test is the whole cost of a tick. It runs on
+//! the raw 64-bit draw, never forming the `f64`: the generator's `f64`
+//! is `(x >> 11) · 2⁻⁵³`, exact, and `rate · 2⁵³` is exact too (scaling
+//! by a power of two), so `u < rate` is exactly `x >> 11 < ⌈rate · 2⁵³⌉`.
+//! The scan for the next arrival runs on a local copy of the generator,
+//! whose state the compiler keeps in registers. Draws and their order
+//! are those of the plain `f64` loop, which the unit tests keep as the
+//! oracle.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rmm_mac::TrafficKind;
 use rmm_sim::{NodeId, Slot, Topology};
 use serde::{Deserialize, Serialize};
@@ -57,9 +67,17 @@ impl TrafficMix {
 /// Stations with no neighbors generate no traffic.
 #[derive(Debug)]
 pub struct TrafficGen {
-    rate: f64,
+    /// [`arrival_threshold`] of the configured rate.
+    threshold: u64,
     mix: TrafficMix,
     rng: SmallRng,
+}
+
+/// `⌈rate · 2⁵³⌉`: a station draws an arrival iff its raw draw `x` has
+/// `x >> 11` below this, which is exactly `u < rate` for the uniform
+/// `u = (x >> 11) · 2⁻⁵³` the generator would return.
+fn arrival_threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// One generated arrival.
@@ -78,7 +96,7 @@ impl TrafficGen {
     pub fn new(rate: f64, mix: TrafficMix, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
         TrafficGen {
-            rate,
+            threshold: arrival_threshold(rate),
             mix,
             rng: SmallRng::seed_from_u64(seed ^ 0xa5a5_5a5a_dead_beef),
         }
@@ -87,39 +105,52 @@ impl TrafficGen {
     /// Generates this slot's arrivals across all stations.
     pub fn tick(&mut self, topo: &Topology, _now: Slot, out: &mut Vec<Arrival>) {
         out.clear();
-        for i in 0..topo.len() {
-            if self.rng.random::<f64>() >= self.rate {
-                continue;
+        let n = topo.len();
+        let mut i = 0;
+        while i < n {
+            let mut rng = self.rng.clone();
+            while i < n && rng.next_u64() >> 11 >= self.threshold {
+                i += 1;
             }
-            let node = NodeId(i as u32);
-            let neighbors = topo.neighbors(node);
-            if neighbors.is_empty() {
-                continue;
+            self.rng = rng;
+            if i == n {
+                break;
             }
-            let kind = self.mix.draw(&mut self.rng);
-            let receivers = match kind {
-                TrafficKind::Unicast => {
-                    vec![neighbors[self.rng.random_range(0..neighbors.len())]]
-                }
-                TrafficKind::Broadcast => neighbors.to_vec(),
-                TrafficKind::Multicast => {
-                    let size = self.rng.random_range(1..=neighbors.len());
-                    // Partial Fisher–Yates over a scratch copy.
-                    let mut pool = neighbors.to_vec();
-                    for j in 0..size {
-                        let k = self.rng.random_range(j..pool.len());
-                        pool.swap(j, k);
-                    }
-                    pool.truncate(size);
-                    pool
-                }
-            };
-            out.push(Arrival {
-                node,
-                kind,
-                receivers,
-            });
+            out.extend(self.arrival(topo, NodeId(i as u32)));
+            i += 1;
         }
+    }
+
+    /// Draws the kind and receivers of an arrival at `node` (none for a
+    /// station without neighbors).
+    fn arrival(&mut self, topo: &Topology, node: NodeId) -> Option<Arrival> {
+        let neighbors = topo.neighbors(node);
+        if neighbors.is_empty() {
+            return None;
+        }
+        let kind = self.mix.draw(&mut self.rng);
+        let receivers = match kind {
+            TrafficKind::Unicast => {
+                vec![neighbors[self.rng.random_range(0..neighbors.len())]]
+            }
+            TrafficKind::Broadcast => neighbors.to_vec(),
+            TrafficKind::Multicast => {
+                let size = self.rng.random_range(1..=neighbors.len());
+                // Partial Fisher–Yates over a scratch copy.
+                let mut pool = neighbors.to_vec();
+                for j in 0..size {
+                    let k = self.rng.random_range(j..pool.len());
+                    pool.swap(j, k);
+                }
+                pool.truncate(size);
+                pool
+            }
+        };
+        Some(Arrival {
+            node,
+            kind,
+            receivers,
+        })
     }
 }
 
@@ -127,6 +158,66 @@ impl TrafficGen {
 mod tests {
     use super::*;
     use crate::placement::uniform_square;
+    use proptest::prelude::*;
+
+    /// The plain arrival loop: one `f64` per station, compared against
+    /// the rate. The oracle for `tick`'s raw-draw scan.
+    fn tick_reference(gen: &mut TrafficGen, rate: f64, topo: &Topology, out: &mut Vec<Arrival>) {
+        out.clear();
+        for i in 0..topo.len() {
+            if gen.rng.random::<f64>() >= rate {
+                continue;
+            }
+            out.extend(gen.arrival(topo, NodeId(i as u32)));
+        }
+    }
+
+    /// The paper's rate, a tenth of it, the extremes, a subnormal, and a
+    /// multiple of 2⁻⁵³ (the draw's resolution) or one ulp either side.
+    fn rate() -> impl Strategy<Value = f64> {
+        let step = (prop_oneof![1u64..64, 1u64..(1 << 53)], 0usize..3).prop_map(|(k, side)| {
+            let r = k as f64 / (1u64 << 53) as f64;
+            [r.next_down(), r, r.next_up()][side]
+        });
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            Just(5e-4),
+            Just(5e-5),
+            Just(f64::MIN_POSITIVE / 3.0),
+            step,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `tick` draws the same arrivals as the `f64` loop and leaves
+        /// the generator in the same state, and its threshold splits the
+        /// raw draws exactly where `u < rate` does.
+        #[test]
+        fn tick_matches_the_float_loop(
+            rate in rate(),
+            n in 1usize..120,
+            seed in any::<u64>(),
+        ) {
+            let t = arrival_threshold(rate);
+            for m in t.saturating_sub(2)..(t + 2).min(1 << 53) {
+                let u = m as f64 / (1u64 << 53) as f64;
+                prop_assert_eq!(u < rate, m < t, "rate {:e}, raw draw {}", rate, m);
+            }
+            let topo = uniform_square(n, 0.2, seed);
+            let mut gen = TrafficGen::new(rate, TrafficMix::default(), seed);
+            let mut reference = TrafficGen::new(rate, TrafficMix::default(), seed);
+            let (mut out, mut expected) = (Vec::new(), Vec::new());
+            for now in 0..40 {
+                gen.tick(&topo, now, &mut out);
+                tick_reference(&mut reference, rate, &topo, &mut expected);
+                prop_assert_eq!(&out, &expected, "rate {:e}, slot {}", rate, now);
+            }
+            prop_assert!(gen.rng == reference.rng, "generator state diverged at rate {:e}", rate);
+        }
+    }
 
     #[test]
     fn mix_draw_respects_ratios() {
