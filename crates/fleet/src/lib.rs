@@ -40,7 +40,7 @@ pub mod progress;
 pub mod service;
 pub mod sweep;
 
-pub use digest::{fnv1a, hex, Fnv1a};
+pub use digest::{fnv1a, hex, xxh64, Fnv1a};
 pub use id::JobId;
 pub use manifest::{Manifest, ManifestError, ManifestHeader, MANIFEST_VERSION};
 pub use pool::{resolve_workers, run_parallel};

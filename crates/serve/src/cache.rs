@@ -15,27 +15,31 @@
 //! On disk the cache is a directory: one header file naming the wire
 //! version, the scenario *schema* fingerprint and the stored form, and
 //! one file per key. An entry file's first line carries the key, the
-//! seed and an FNV-1a digest; the rest is the rendered stream, byte for
-//! byte. A put writes the file under a unique temporary name and renames
-//! it into place, so a reader sees a whole entry or none, and a key
-//! stored twice is still one file. Nothing is synced: an entry that a
-//! power loss tears fails its digest and is recomputed. Memory holds
-//! only the names of the entry files: [`CacheStore::open`] reads the
-//! header and lists the directory, and a hit reads its one file and
-//! checks the key, the digest and the stream's shape. A failed read is a
-//! miss counted as a read failure, and costs only that entry. A failed
-//! write or rename leaves the cell uncached and is counted as a write
-//! failure. The directory and its header are created by the first put.
+//! seed and a digest; the rest is the rendered stream, byte for byte.
+//! The digest is the stream's XXH64, seeded with the FNV-1a of the key
+//! and the seed, so it covers all three (`rmm_fleet::digest` says why
+//! the stream gets XXH64). A put writes the file under a unique
+//! temporary name and renames it into place, so a reader sees a whole
+//! entry or none, and a key stored twice is still one file. Nothing is
+//! synced: an entry that a power loss tears fails its digest and is
+//! recomputed. Memory holds only the names of the entry files:
+//! [`CacheStore::open`] reads the header and lists the directory, and a
+//! hit reads its one file and checks the key, the digest and the
+//! stream's shape. A failed read is a miss counted as a read failure,
+//! and costs only that entry. A failed write or rename leaves the cell
+//! uncached and is counted as a write failure. The directory and its
+//! header are created by the first put.
 //!
 //! A header written by a build with a different scenario layout, wire
-//! protocol or stored form, or a serve-cache manifest file at the path
+//! protocol or stored form (which names the entry digest, so a cache of
+//! FNV-1a digests is stale), or a serve-cache manifest file at the path
 //! (the layout earlier builds wrote), is discarded with a warning: a
 //! stale cache is never an error, just a cold start. A non-empty
 //! directory without the header is an error, so `open` deletes only
 //! what the cache wrote.
 
 use crate::proto::{Rendered, ServeCell, PROTO_VERSION};
-use rmm_fleet::{hex, Fnv1a, ManifestHeader};
+use rmm_fleet::{hex, xxh64, Fnv1a, ManifestHeader};
 use rmm_mac::ProtocolKind;
 use rmm_workload::Scenario;
 use std::collections::{HashMap, HashSet};
@@ -45,9 +49,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// What a cache entry holds, folded into the cache header: a cache
-/// whose entries hold anything else is stale.
-const STORED_FORM: &str = "rendered-stream";
+/// What a cache entry holds and how it is digested, folded into the
+/// cache header: a cache whose entries hold anything else, or carry
+/// another digest, is stale.
+const STORED_FORM: &str = "rendered-stream, xxh64";
 
 /// The header file of a cache directory.
 const HEADER: &str = "rmm-serve-cache";
@@ -115,14 +120,17 @@ fn cache_header(schema: u32) -> String {
     format!("rmm-serve cache: wire v{PROTO_VERSION}, schema {schema:#010x}, {STORED_FORM}\n")
 }
 
-/// The first line of an entry file: its key, its seed and an FNV-1a
-/// digest over the three and the stream.
+/// The first line of an entry file: its key, its seed and a digest of
+/// both and the stream, the stream's XXH64 seeded with the FNV-1a of
+/// the key and the seed.
 fn entry_head(key: &str, seed: u64, stream: &str) -> String {
     let mut h = Fnv1a::new();
     h.write_str(key);
     h.write_u64(seed);
-    h.write_str(stream);
-    format!("{key} {seed} {}\n", hex(h.finish()))
+    format!(
+        "{key} {seed} {}\n",
+        hex(xxh64(stream.as_bytes(), h.finish()))
+    )
 }
 
 fn entry_name(key: &str) -> String {
@@ -488,6 +496,93 @@ mod tests {
             !CacheStore::entry_path(&path, &key).exists(),
             "the stale entry is deleted"
         );
+    }
+
+    #[test]
+    fn cache_in_the_fnv1a_form_starts_cold() {
+        use crate::client::{
+            fetch_metrics, local_lines, parse_metric, request_shutdown, submit_one,
+        };
+        use crate::proto::RunRequest;
+        use crate::server::{ServeConfig, Server};
+        use rmm_workload::scenario_schema_hash;
+
+        let path = tmp("fnv1a-form");
+        let req = RunRequest {
+            id: 4,
+            protocol: "bmmm".into(),
+            scenario: tiny(),
+            seed: 12,
+            trace: true,
+            profile: false,
+        };
+        let key = cache_key(ProtocolKind::Bmmm, &req.scenario, req.seed, true, false);
+        // The directory as earlier builds wrote it: the stored form
+        // without its digest, and an entry whose head carries FNV-1a
+        // over the key, the seed and the stream.
+        let cell = compute_cell(&req.scenario, ProtocolKind::Bmmm, req.seed, true, false);
+        let stream = Rendered::render(&cell).text().to_string();
+        let mut h = Fnv1a::new();
+        h.write_str(&key);
+        h.write_u64(req.seed);
+        h.write_str(&stream);
+        let entry = CacheStore::entry_path(&path, &key);
+        fs::create_dir_all(&path).unwrap();
+        fs::write(
+            path.join(HEADER),
+            format!(
+                "rmm-serve cache: wire v{PROTO_VERSION}, schema {:#010x}, rendered-stream\n",
+                scenario_schema_hash()
+            ),
+        )
+        .unwrap();
+        fs::write(
+            &entry,
+            format!("{key} {} {}\n{stream}", req.seed, hex(h.finish())),
+        )
+        .unwrap();
+
+        let cache = CacheStore::open(Some(&path), scenario_schema_hash()).unwrap();
+        assert!(cache.is_empty(), "the earlier form starts cold");
+        assert!(!entry.exists(), "its entry is deleted");
+        assert!(cache.get(&key).is_none());
+        assert_eq!(cache.read_failures(), 0, "discarded, never read");
+        drop(cache);
+
+        let server = Server::start(ServeConfig {
+            cache_path: Some(path),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr().to_string();
+        assert_eq!(submit_one(&addr, &req).unwrap(), local_lines(&req).unwrap());
+        let metrics = fetch_metrics(&addr).unwrap();
+        assert_eq!(
+            parse_metric(&metrics, "rmm_serve_engine_runs_total"),
+            Some(1)
+        );
+        request_shutdown(&addr).unwrap();
+        server.join();
+    }
+
+    #[test]
+    fn digest_covers_the_seed() {
+        let path = tmp("digest");
+        let s = tiny();
+        let key = cache_key(ProtocolKind::Bmw, &s, 5, false, false);
+        let cache = CacheStore::open(Some(&path), 7).unwrap();
+        cache.put(
+            &key,
+            5,
+            &compute_cell(&s, ProtocolKind::Bmw, 5, false, false),
+        );
+        let entry = CacheStore::entry_path(&path, &key);
+        let intact = fs::read_to_string(&entry).unwrap();
+        let reseeded = intact.replacen(&format!("{key} 5 "), &format!("{key} 6 "), 1);
+        assert_ne!(reseeded, intact);
+        fs::write(&entry, reseeded).unwrap();
+        assert!(cache.get(&key).is_none(), "another seed fails the digest");
+        assert_eq!(cache.read_failures(), 1);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!    byte-for-byte identical, with zero engine invocations — and a
 //!    cache directory survives restarts: each cell is one file, written
 //!    whole under a temporary name and renamed into place, and checked
-//!    against its digest when it is read back.
+//!    against its XXH64 digest (seeded with the FNV-1a of its key and
+//!    seed) when it is read back.
 //!
 //! The [`client`] module carries the other half of the contract: a
 //! serial in-process oracle plus a concurrent soak driver that

@@ -42,7 +42,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -96,8 +96,6 @@ struct Shared {
     pool: ServicePool,
     cache: CacheStore,
     draining: AtomicBool,
-    conns_open: Mutex<usize>,
-    conn_closed: Condvar,
     conns_accepted: AtomicU64,
     conns_rejected: AtomicU64,
     requests: AtomicU64,
@@ -173,8 +171,6 @@ impl Server {
             pool: ServicePool::with_capacity(config.workers, config.queue_cap),
             cache,
             draining: AtomicBool::new(false),
-            conns_open: Mutex::new(0),
-            conn_closed: Condvar::new(),
             conns_accepted: AtomicU64::new(0),
             conns_rejected: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -220,44 +216,34 @@ impl Server {
         self.shared.begin_drain();
     }
 
-    /// Waits for the drain to complete: accept loop exited, every
-    /// connection closed, every in-flight job finished, workers joined.
+    /// Waits for the drain to complete: the accept loop and every
+    /// connection's threads exited, every in-flight job finished,
+    /// workers joined.
     pub fn join(self) {
         let _ = self.accept.join();
-        let mut open = self
-            .shared
-            .conns_open
-            .lock()
-            .expect("connection count poisoned");
-        while *open > 0 {
-            open = self
-                .shared
-                .conn_closed
-                .wait(open)
-                .expect("connection count poisoned");
-        }
-        drop(open);
         self.shared.pool.shutdown();
     }
 }
 
+/// Accepts connections until a drain starts, then joins every
+/// connection's thread before it returns. A thread's exit, not just the
+/// end of its work, is what hands its memory back, so a server that
+/// has joined holds no thread of a closed connection.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
+    // The threads of the connections not yet joined. Those that have
+    // finished are joined as each connection arrives, so what is left
+    // are the open connections.
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         let _ = stream.set_nodelay(true);
-        let over_cap = {
-            let mut open = shared.conns_open.lock().expect("connection count poisoned");
-            if *open >= max_conns {
-                true
-            } else {
-                *open += 1;
-                false
-            }
-        };
-        if over_cap {
+        for conn in conns.extract_if(.., |conn| conn.is_finished()) {
+            let _ = conn.join();
+        }
+        if conns.len() >= max_conns {
             shared.conns_rejected.fetch_add(1, Ordering::Relaxed);
             let mut stream = stream;
             let _ = writeln!(
@@ -272,12 +258,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
         }
         shared.conns_accepted.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            handle_conn(stream, &shared);
-            let mut open = shared.conns_open.lock().expect("connection count poisoned");
-            *open -= 1;
-            shared.conn_closed.notify_all();
-        });
+        conns.push(std::thread::spawn(move || handle_conn(stream, &shared)));
+    }
+    for conn in conns {
+        let _ = conn.join();
     }
 }
 
