@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cores;
 pub mod digest;
 pub mod id;
 pub mod manifest;
@@ -40,6 +41,7 @@ pub mod progress;
 pub mod service;
 pub mod sweep;
 
+pub use cores::{cores, spare_cores, with_spare_cores};
 pub use digest::{fnv1a, hex, xxh64, Fnv1a};
 pub use id::JobId;
 pub use manifest::{Manifest, ManifestError, ManifestHeader, MANIFEST_VERSION};

@@ -8,6 +8,7 @@
 //! result lands in its job's own slot, which is what keeps the output
 //! order independent of scheduling.
 
+use crate::cores::{cores, enter_pool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -15,19 +16,17 @@ use std::sync::Mutex;
 /// and the count never exceeds the number of jobs (spawning idle threads
 /// is pointless).
 pub fn resolve_workers(requested: usize, jobs: usize) -> usize {
-    let workers = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
+    let workers = if requested == 0 { cores() } else { requested };
     workers.clamp(1, jobs.max(1))
 }
 
 /// Runs every job on `workers` threads and returns the results **in job
 /// order**, regardless of which worker finished what when.
 ///
-/// `run` receives `(worker index, &job)`. Panics in a job propagate once
-/// all workers have stopped.
+/// `run` receives `(worker index, &job)`. Inside it,
+/// [`spare_cores`](crate::spare_cores) reads the worker's share of the
+/// host: `cores() / workers − 1`. Panics in a job propagate once all
+/// workers have stopped.
 pub fn run_parallel<J, R, F>(workers: usize, jobs: &[J], run: F) -> Vec<R>
 where
     J: Sync,
@@ -58,6 +57,7 @@ where
 {
     let n = jobs.len();
     let workers = resolve_workers(workers, n);
+    let cores = cores();
     let next = AtomicUsize::new(0);
     // One mutex per slot: a worker only ever locks the slot it owns, so
     // there is no contention and no unsafe indexing.
@@ -67,15 +67,18 @@ where
             .map(|w| {
                 let (next, slots, run, on_start, on_finish) =
                     (&next, &slots, &run, &on_start, &on_finish);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+                scope.spawn(move || {
+                    enter_pool(cores, workers);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        on_start(w, i);
+                        let r = run(w, &jobs[i]);
+                        on_finish(w, i, &r);
+                        *slots[i].lock().expect("result slot poisoned") = Some(r);
                     }
-                    on_start(w, i);
-                    let r = run(w, &jobs[i]);
-                    on_finish(w, i, &r);
-                    *slots[i].lock().expect("result slot poisoned") = Some(r);
                 })
             })
             .collect();
@@ -154,8 +157,9 @@ mod tests {
 
     #[test]
     fn zero_requested_workers_resolves_to_cores() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(resolve_workers(0, 1000), cores.min(1000));
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(cores(), host);
+        assert_eq!(resolve_workers(0, 1000), host.min(1000));
         assert_eq!(resolve_workers(0, 0), 1);
         assert_eq!(resolve_workers(8, 3), 3, "never more workers than jobs");
         assert_eq!(resolve_workers(2, 1000), 2);
@@ -207,6 +211,19 @@ mod tests {
             });
             assert_eq!(EXITED.load(Ordering::SeqCst), 2 * round);
         }
+    }
+
+    #[test]
+    fn a_lone_worker_may_use_every_other_core_and_a_full_pool_none() {
+        let jobs: Vec<usize> = (0..2 * cores()).collect();
+        let lone = run_parallel(1, &jobs, |_, _| crate::spare_cores());
+        assert!(lone.iter().all(|&s| s == cores() - 1), "{lone:?}");
+        let full = run_parallel(cores(), &jobs, |_, _| crate::spare_cores());
+        assert!(full.iter().all(|&s| s == 0), "{full:?}");
+        // The share is the pool's, not the calling thread's.
+        let nested =
+            crate::with_spare_cores(7, || run_parallel(1, &jobs, |_, _| crate::spare_cores()));
+        assert!(nested.iter().all(|&s| s == cores() - 1), "{nested:?}");
     }
 
     #[test]

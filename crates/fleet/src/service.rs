@@ -16,6 +16,7 @@
 //! stops reading its socket — which is exactly the TCP backpressure a
 //! saturated daemon should exert instead of buffering without limit.
 
+use crate::cores::{cores, enter_pool};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -92,13 +93,12 @@ impl ServicePool {
     }
 
     /// Spawns `workers` resident threads over a queue bounded at
-    /// `capacity` pending jobs (minimum 1).
+    /// `capacity` pending jobs (minimum 1). In a job,
+    /// [`spare_cores`](crate::spare_cores) reads the worker's share of
+    /// the host: `cores() / workers − 1`.
     pub fn with_capacity(workers: usize, capacity: usize) -> ServicePool {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            workers
-        };
+        let cores = cores();
+        let workers = if workers == 0 { cores } else { workers };
         let inner = Arc::new(Inner {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -116,7 +116,10 @@ impl ServicePool {
         let handles = (0..workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
+                std::thread::spawn(move || {
+                    enter_pool(cores, workers);
+                    worker_loop(&inner);
+                })
             })
             .collect();
         ServicePool {
@@ -393,7 +396,29 @@ mod tests {
     #[test]
     fn zero_workers_resolves_to_cores() {
         let pool = ServicePool::new(0);
-        assert!(pool.workers() >= 1);
+        assert_eq!(pool.workers(), cores());
         pool.shutdown();
+    }
+
+    #[test]
+    fn workers_read_their_share_of_the_host() {
+        for (workers, share) in [(1, cores() - 1), (0, 0), (cores(), 0)] {
+            let pool = ServicePool::new(workers);
+            let (tx, rx) = mpsc::channel();
+            for _ in 0..pool.workers() * 4 {
+                let tx = tx.clone();
+                pool.submit(move || {
+                    let _ = tx.send(crate::spare_cores());
+                });
+            }
+            drop(tx);
+            let seen: Vec<usize> = rx.iter().collect();
+            assert_eq!(seen.len(), pool.workers() * 4);
+            assert!(
+                seen.iter().all(|&s| s == share),
+                "{workers} workers: {seen:?}"
+            );
+            pool.shutdown();
+        }
     }
 }

@@ -282,6 +282,49 @@ fn invalid_fault_plan_is_rejected_before_the_engine() {
 }
 
 #[test]
+fn a_run_of_no_slots_gets_one_error_and_no_cache_entry() {
+    // Such a run's utilization is NaN, written as `null`: its `Result`
+    // line would not parse back in the client, nor its cache entry in
+    // a sweep manifest.
+    let cache = tmp_dir("no-slots").join("cache");
+    let (server, addr) = start(ServeConfig {
+        workers: 1,
+        cache_path: Some(cache.clone()),
+        ..ServeConfig::default()
+    });
+    let entries = || -> Vec<_> {
+        std::fs::read_dir(&cache)
+            .map(|dir| dir.map(|e| e.unwrap().file_name()).collect())
+            .unwrap_or_default()
+    };
+    let req = RunRequest {
+        scenario: Scenario {
+            sim_slots: 0,
+            ..tiny()
+        },
+        ..run_req(4, "bmmm", 2, false)
+    };
+    let lines = submit_one(&addr, &req).expect("response");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].contains("\"Error\"") && lines[0].contains("sim_slots"),
+        "{}",
+        lines[0]
+    );
+    let metrics = fetch_metrics(&addr).unwrap();
+    assert_eq!(
+        parse_metric(&metrics, "rmm_serve_engine_runs_total"),
+        Some(0)
+    );
+    assert!(entries().is_empty(), "{:?}", entries());
+    // A valid cell is cached in the same directory.
+    let req = run_req(5, "bmmm", 2, false);
+    assert_eq!(submit_one(&addr, &req).unwrap(), local_lines(&req).unwrap());
+    assert!(!entries().is_empty());
+    drain(server, &addr);
+}
+
+#[test]
 fn connections_beyond_the_cap_are_refused() {
     let (server, addr) = start(ServeConfig {
         max_conns: 1,

@@ -31,6 +31,7 @@
 
 pub mod chaos;
 pub mod churn;
+mod feed;
 pub mod mobility;
 pub mod observe;
 pub mod placement;
@@ -43,6 +44,7 @@ pub use chaos::{
     Violation, ViolationKind,
 };
 pub use churn::{ChurnEvent, ChurnKind, ChurnPlan, EpochMetrics};
+pub use feed::{draws_ahead, DRAW_AHEAD_MIN_DRAWS};
 pub use mobility::{MobilityConfig, RandomWaypoint};
 pub use observe::{collect_metrics, PhaseTimings, RunManifest};
 pub use placement::uniform_square;

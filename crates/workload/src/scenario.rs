@@ -143,10 +143,15 @@ impl Scenario {
     /// panicking mid-run: at least one node and one run, a positive,
     /// finite `radius`, `msg_rate` in [0, 1], `fer` in [0, 1), burst `p`
     /// and `r` in [0, 1], and fault and churn plans that fit the
-    /// network.
+    /// network. It also refuses a run of no slots, whose utilization
+    /// (busy slots over slots) would be NaN: JSON writes that as `null`,
+    /// and the result would not parse back.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_nodes == 0 || self.n_runs == 0 {
             return Err("scenario needs n_nodes >= 1 and n_runs >= 1".into());
+        }
+        if self.sim_slots == 0 {
+            return Err("scenario needs sim_slots >= 1".into());
         }
         if !(self.radius > 0.0 && self.radius.is_finite()) {
             return Err(format!("radius {} is not positive and finite", self.radius));
@@ -301,6 +306,29 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn validate_refuses_a_run_of_no_slots() {
+        let tiny = Scenario {
+            n_nodes: 5,
+            sim_slots: 1,
+            n_runs: 1,
+            ..Scenario::default()
+        };
+        assert_eq!(tiny.validate(), Ok(()));
+        let empty = Scenario {
+            sim_slots: 0,
+            ..tiny.clone()
+        };
+        let err = empty.validate().expect_err("no slots is not a run");
+        assert!(err.contains("sim_slots"), "{err}");
+        // What it guards against: such a run's result does not parse
+        // back.
+        let r = crate::run_one(&empty, rmm_mac::ProtocolKind::Bmmm, 1);
+        assert!(r.utilization.is_nan());
+        let json = serde_json::to_string(&r).unwrap();
+        assert!(serde_json::from_str::<crate::RunResult>(&json).is_err());
     }
 
     #[test]

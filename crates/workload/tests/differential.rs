@@ -12,12 +12,17 @@
 //! calm and saturated networks, under faults, churn, and position noise.
 //! The `MetricsRegistry` is a pure fold of the trace and the messages,
 //! so identical traces and results imply identical metrics.
+//!
+//! Runs large enough to draw their traffic ahead on a spare core run
+//! once per feed as well ([`assert_feeds_agree`]): drawn ahead, and
+//! drawn in the slot loop, under both steppings.
 
+use rmm_fleet::with_spare_cores;
 use rmm_mac::ProtocolKind;
 use rmm_sim::{FaultPlan, GilbertElliott, NodeId, TraceEvent};
 use rmm_workload::{
-    run, run_one, ChurnPlan, MobilityConfig, PhaseTimings, Probes, RunOutput, RunResult, RunSpec,
-    Scenario, Stepping,
+    draws_ahead, run, run_one, ChurnPlan, MobilityConfig, PhaseTimings, Probes, RunOutput,
+    RunResult, RunSpec, Scenario, Stepping, DRAW_AHEAD_MIN_DRAWS,
 };
 
 const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
@@ -393,4 +398,144 @@ fn fast_stepping_is_bit_exact_under_position_noise() {
             "mobile seed {seed}: position noise had no effect"
         );
     }
+}
+
+/// Runs one input above the draw-ahead gate traced, under both
+/// steppings, once with a spare core (the producer thread draws the
+/// traffic) and once without (the slot loop draws it), and checks that
+/// all four runs give byte-identical results and trace event streams.
+/// Returns the fast run that drew ahead.
+fn assert_feeds_agree(
+    scenario: &Scenario,
+    protocol: ProtocolKind,
+    seed: u64,
+    label: &str,
+) -> RunOutput {
+    assert!(
+        scenario.n_nodes as u64 * scenario.sim_slots >= DRAW_AHEAD_MIN_DRAWS,
+        "[{label}] below the draw-ahead gate"
+    );
+    let mut want: Option<(String, Vec<TraceEvent>)> = None;
+    let mut kept = None;
+    for stepping in [Stepping::Fast, Stepping::Naive] {
+        for spare in [0, 1] {
+            let spec = RunSpec {
+                stepping,
+                probes: Probes {
+                    trace: true,
+                    ..Probes::default()
+                },
+                mobility: None,
+            };
+            let at =
+                format!("[{label}] {protocol:?} seed {seed} {stepping:?}, {spare} spare cores");
+            let (ahead, out) = with_spare_cores(spare, || {
+                (
+                    draws_ahead(scenario, &spec),
+                    run(scenario, protocol, seed, &spec),
+                )
+            });
+            assert_eq!(ahead, spare == 1, "{at}: feed choice");
+            let got = (
+                canonical(out.result.clone()),
+                out.trace.as_ref().expect("traced").events().to_vec(),
+            );
+            match &want {
+                None => want = Some(got),
+                Some(w) => {
+                    assert_eq!(w.0, got.0, "{at}: RunResult diverged");
+                    assert_eq!(w.1[..], got.1[..], "{at}: trace diverged");
+                }
+            }
+            if ahead && stepping == Stepping::Fast {
+                kept = Some(out);
+            }
+        }
+    }
+    kept.expect("the fast run with a spare core drew ahead")
+}
+
+/// 1 050 stations at the paper's density, at twice `scale_10k`'s load,
+/// for 2 000 slots: 2.1 M draws, just above the draw-ahead gate.
+fn above_the_gate() -> Scenario {
+    Scenario {
+        n_nodes: 1_050,
+        radius: 0.2 * (100.0f64 / 1_050.0).sqrt(),
+        msg_rate: 1e-4,
+        sim_slots: 2_000,
+        n_runs: 1,
+        ..Scenario::default()
+    }
+}
+
+/// The producer thread's arrivals are the slot loop's: every protocol,
+/// three seeds, both steppings.
+#[test]
+fn drawing_ahead_is_bit_exact_for_all_protocols() {
+    let scenario = above_the_gate();
+    for protocol in ALL_PROTOCOLS {
+        for seed in [1, 2, 3] {
+            let out = assert_feeds_agree(&scenario, protocol, seed, "ahead");
+            assert!(
+                out.result.messages.len() > 50,
+                "{protocol:?} seed {seed}: only {} messages",
+                out.result.messages.len()
+            );
+        }
+    }
+}
+
+/// Churn filters the arrivals after the feed hands them over, the
+/// watchdog inspects the network between them, and frame errors, the
+/// burst channel and the fault plan draw or act inside the engine: all
+/// of it must see the same arrivals whichever feed drew them.
+#[test]
+fn drawing_ahead_is_bit_exact_under_faults_and_churn() {
+    let timing = rmm_mac::MacTiming {
+        timeout: 300,
+        dest_retry_limit: 3,
+        ..Default::default()
+    };
+    let scenario = Scenario {
+        msg_rate: 4e-4,
+        fer: 0.05,
+        timing,
+        ..above_the_gate()
+    }
+    .with_burst(GilbertElliott::new(0.05, 0.25))
+    .with_faults(
+        FaultPlan::new()
+            .crash(NodeId(3), 400)
+            .deaf(NodeId(5), 200, 1_200)
+            .mute(NodeId(7), 600, 1_800)
+            .reboot(NodeId(9), 300, 900),
+    )
+    .with_churn(
+        ChurnPlan::new()
+            .leave(NodeId(12), 500)
+            .join(NodeId(12), 1_500)
+            .leave(NodeId(20), 1_000),
+    )
+    .with_stall_window(400);
+    let mut give_ups = 0;
+    for protocol in ALL_PROTOCOLS {
+        for seed in [4, 5, 6] {
+            let out = assert_feeds_agree(&scenario, protocol, seed, "ahead+faults");
+            assert!(
+                !out.result.churn_epochs.is_empty(),
+                "churn produced no epochs"
+            );
+            give_ups += out
+                .trace
+                .expect("traced")
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::GiveUp { .. }))
+                .count();
+        }
+    }
+    assert!(
+        give_ups > 0,
+        "the fault scenario produced no give-up events"
+    );
 }
