@@ -87,7 +87,10 @@ fn drive(
     let digest = Digest {
         collisions: engine.channel().collisions_total,
         busy_slots: engine.channel().busy_slots,
-        frames_sent: nodes.iter().map(|n| n.counters().frames_sent).sum(),
+        frames_sent: nodes
+            .iter()
+            .map(|n| n.counters().sent_by_kind.total())
+            .sum(),
         completed: nodes
             .iter()
             .flat_map(|n| n.records())

@@ -1,6 +1,12 @@
 //! The MAC station: glue between the simulator's [`Station`] trait, the
 //! shared receiver behaviour (CTS/ACK/NAK replies, NAV yielding,
 //! promiscuous data caching) and the per-protocol sender FSMs.
+//!
+//! The station keeps the one clock of its sender: each frame an FSM puts
+//! on the air comes back as a [`Flow::Await`] naming the slot where the
+//! exchange's response window closes or its airtime ends. The node
+//! stores it in `Active::at`, calls [`Fsm::on_slot`] when that slot
+//! arrives, and offers it to the engine as its wakeup hint.
 
 use crate::contention::{next_cw, Contention};
 use crate::nav::Nav;
@@ -18,9 +24,10 @@ use rmm_sim::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Receiver-side wait-for-data state (BSMA): after answering a group RTS
-/// with a CTS, the receiver expects the data by `deadline` and NAKs the
-/// sender otherwise.
+/// Receiver-side wait-for-data state: after a group RTS, a BSMA receiver
+/// (which answered with a CTS) or a leader-scheme non-leader (which
+/// stayed silent) expects the data by `deadline` and NAKs the sender
+/// otherwise — BSMA's WAIT_FOR_DATA and the leader scheme's ACK-slot jam.
 #[derive(Debug, Clone)]
 struct WaitData {
     msg: MsgId,
@@ -80,9 +87,22 @@ impl NodeCore {
     pub fn transmit(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
         debug_assert!(self.tx_until <= ctx.now);
         self.tx_until = ctx.now + Slot::from(frame.slots);
-        self.counters.frames_sent += 1;
         self.counters.sent_by_kind.bump(frame.kind);
         ctx.send(frame);
+    }
+
+    /// Arms a wait for the data of the group RTS `rts` (see [`WaitData`]),
+    /// unless this station already holds the message or waits for it.
+    fn await_data(&mut self, rts: &Frame, now: Slot) {
+        if self.received.contains(&rts.msg) || self.wait_data.iter().any(|w| w.msg == rts.msg) {
+            return;
+        }
+        let t = self.timing;
+        self.wait_data.push(WaitData {
+            msg: rts.msg,
+            sender: rts.src,
+            deadline: now + Slot::from(t.control_slots) + Slot::from(t.data_slots),
+        });
     }
 }
 
@@ -96,6 +116,10 @@ struct Active {
     contention: Contention,
     contending: bool,
     fsm: Fsm,
+    /// The slot where the pending exchange's response window closes or
+    /// its airtime ends (the last [`Flow::Await`]); [`Fsm::on_slot`] runs
+    /// there. Meaningless while `contending`.
+    at: Slot,
     data_tx: u32,
     control_tx: u32,
     /// Consecutive failed recontentions (`reset_cw: false`); cleared by
@@ -212,11 +236,6 @@ impl MacNode {
         self.core.counters
     }
 
-    /// Queued (not yet serviced) requests.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len() + usize::from(self.active.is_some())
-    }
-
     /// The message currently in service, if any, as
     /// `(msg, arrival, service_start)`. Read by the workload liveness
     /// watchdog to detect senders stuck on one message.
@@ -331,6 +350,7 @@ impl MacNode {
                 contention,
                 contending: true,
                 fsm,
+                at: 0,
                 data_tx: 0,
                 control_tx: 0,
                 retries: 0,
@@ -367,6 +387,10 @@ impl MacNode {
         };
         match flow {
             Flow::Continue => self.active = Some(active),
+            Flow::Await(at) => {
+                active.at = at;
+                self.active = Some(active);
+            }
             Flow::Recontend { reset_cw } => {
                 if reset_cw {
                     active.retries = 0;
@@ -513,43 +537,24 @@ impl MacNode {
                 // suppress redundant retransmissions).
                 self.core.received.insert(frame.msg);
                 self.core.wait_data.retain(|w| w.msg != frame.msg);
-                if frame.dest.node() == Some(self.core.id) {
+                let acks = match &frame.dest {
                     // Unicast-style data (DCF / BMW): ACK after SIFS.
-                    if self.can_respond(now) {
-                        self.respond(
-                            ctx,
-                            FrameKind::Ack,
-                            frame.src,
-                            0,
-                            frame.msg,
-                            FrameInfo::None,
-                        );
-                    }
-                } else if self.core.protocol == ProtocolKind::BmmmUncoordinated
-                    && addressed
-                    && matches!(&frame.dest, Dest::Group(_))
-                {
-                    // Uncoordinated-BMMM ablation: every receiver ACKs
-                    // the group data immediately. These ACKs are
-                    // synchronized and collide — the failure mode the
-                    // RAK train exists to prevent.
-                    if self.can_respond(now) {
-                        self.respond(
-                            ctx,
-                            FrameKind::Ack,
-                            frame.src,
-                            0,
-                            frame.msg,
-                            FrameInfo::None,
-                        );
-                    }
-                } else if self.core.protocol == ProtocolKind::LeaderBased
-                    && matches!(&frame.dest, Dest::Group(g) if g.first() == Some(&self.core.id))
-                {
-                    // Leader-based multicast: the group leader ACKs the
-                    // data on behalf of everyone. A non-leader that
-                    // missed it jams this ACK slot with a NAK (scheduled
-                    // when the RTS arrived).
+                    Dest::Node(n) => *n == self.core.id,
+                    Dest::Group(g) => match self.core.protocol {
+                        // Uncoordinated-BMMM ablation: every receiver ACKs
+                        // the group data immediately. These ACKs are
+                        // synchronized and collide — the failure mode the
+                        // RAK train exists to prevent.
+                        ProtocolKind::BmmmUncoordinated => addressed,
+                        // Leader-based multicast: the group leader ACKs the
+                        // data on behalf of everyone. A non-leader that
+                        // missed it jams this ACK slot with a NAK (armed
+                        // when the RTS arrived).
+                        ProtocolKind::LeaderBased => g.first() == Some(&self.core.id),
+                        _ => false,
+                    },
+                };
+                if acks {
                     if self.can_respond(now) {
                         self.respond(
                             ctx,
@@ -589,28 +594,10 @@ impl MacNode {
                                 );
                             }
                             Dest::Group(group) => {
-                                let is_leader_protocol =
-                                    self.core.protocol == ProtocolKind::LeaderBased;
-                                let is_leader = group.first() == Some(&self.core.id);
-                                if is_leader_protocol && !is_leader {
-                                    // Non-leader under the leader scheme:
-                                    // stay silent now, but arm the
-                                    // ACK-slot jam in case the data never
-                                    // arrives.
-                                    if !self.core.received.contains(&frame.msg) {
-                                        let t = self.core.timing;
-                                        let deadline = now
-                                            + Slot::from(t.control_slots)
-                                            + Slot::from(t.data_slots);
-                                        if !self.core.wait_data.iter().any(|w| w.msg == frame.msg) {
-                                            self.core.wait_data.push(WaitData {
-                                                msg: frame.msg,
-                                                sender: frame.src,
-                                                deadline,
-                                            });
-                                        }
-                                    }
-                                } else {
+                                let protocol = self.core.protocol;
+                                let silent = protocol == ProtocolKind::LeaderBased
+                                    && group.first() != Some(&self.core.id);
+                                if !silent {
                                     // Tang–Gerla / BSMA: every intended
                                     // receiver answers at once; leader
                                     // scheme: only the leader answers.
@@ -622,21 +609,12 @@ impl MacNode {
                                         frame.msg,
                                         FrameInfo::None,
                                     );
-                                    if self.core.protocol == ProtocolKind::Bsma
-                                        && !self.core.received.contains(&frame.msg)
-                                    {
-                                        let t = self.core.timing;
-                                        let deadline = now
-                                            + Slot::from(t.control_slots)
-                                            + Slot::from(t.data_slots);
-                                        if !self.core.wait_data.iter().any(|w| w.msg == frame.msg) {
-                                            self.core.wait_data.push(WaitData {
-                                                msg: frame.msg,
-                                                sender: frame.src,
-                                                deadline,
-                                            });
-                                        }
-                                    }
+                                }
+                                // BSMA's WAIT_FOR_DATA, and a leader-scheme
+                                // non-leader's ACK-slot jam in case the
+                                // data never arrives.
+                                if protocol == ProtocolKind::Bsma || silent {
+                                    self.core.await_data(frame, now);
                                 }
                             }
                         }
@@ -752,8 +730,8 @@ impl MacNode {
                     DriveMode::None
                 }
             }
-            Some(_) => DriveMode::Slot,
-            None => DriveMode::None,
+            Some(a) if a.at == now => DriveMode::Slot,
+            _ => DriveMode::None,
         };
         match mode {
             DriveMode::Access => self.drive_fsm(ctx, |fsm, env| fsm.on_access(env)),
@@ -812,7 +790,7 @@ impl Station for MacNode {
             consider(w.deadline);
         }
         if let Some(a) = &self.active {
-            consider(a.req.arrival + self.core.timing.timeout);
+            consider(a.req.arrival.saturating_add(self.core.timing.timeout));
         }
         due
     }
@@ -852,7 +830,7 @@ impl Station for MacNode {
         }
         match &self.active {
             Some(a) => {
-                consider(a.req.arrival + t.timeout);
+                consider(a.req.arrival.saturating_add(t.timeout));
                 if a.contending {
                     if !a.contention.is_active() {
                         // Unreachable in practice (contending implies an
@@ -873,8 +851,8 @@ impl Station for MacNode {
                             + 1;
                         consider(first_idle + polls - 1);
                     }
-                } else if let Some(at) = a.fsm.deadline() {
-                    consider(at);
+                } else {
+                    consider(a.at);
                 }
             }
             None => {

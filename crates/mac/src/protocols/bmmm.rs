@@ -20,15 +20,14 @@ use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot, TraceEvent};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Idle,
-    /// RTS to `batch[i]` sent; its CTS window closes at `at`.
+    /// RTS to `batch[i]` sent; waiting out its CTS window.
     AwaitCts {
         /// Index into the current batch.
         i: usize,
     },
-    /// Data frame on the air; first RAK goes out at `at`.
+    /// Data frame on the air; the first RAK goes out when it ends.
     Sending,
-    /// RAK to `batch[i]` sent; its ACK window closes at `at`.
+    /// RAK to `batch[i]` sent; waiting out its ACK window.
     AwaitAck {
         /// Index into the current batch.
         i: usize,
@@ -46,7 +45,6 @@ pub struct BmmmFsm {
     /// 1-based batch (round) number, counting every `Batch_Mode_Procedure`.
     round: u32,
     phase: Phase,
-    at: Slot,
     cts_any: bool,
     /// ACKs collected this batch (`S_ACK`).
     batch_acked: Vec<NodeId>,
@@ -66,8 +64,7 @@ impl BmmmFsm {
             s_remaining: receivers,
             batch: Vec::new(),
             round: 0,
-            phase: Phase::Idle,
-            at: 0,
+            phase: Phase::AwaitCts { i: 0 },
             cts_any: false,
             batch_acked: Vec::new(),
             all_acked: Vec::new(),
@@ -89,16 +86,6 @@ impl BmmmFsm {
     /// Receivers served by coverage (always empty for BMMM).
     pub fn assumed_covered(&self) -> &[NodeId] {
         &self.assumed_covered
-    }
-
-    /// Receivers still outstanding.
-    pub fn remaining(&self) -> &[NodeId] {
-        &self.s_remaining
-    }
-
-    /// The receivers polled in the current batch.
-    pub fn batch(&self) -> &[NodeId] {
-        &self.batch
     }
 
     fn compute_batch(&self, env: &Env<'_, '_>) -> Vec<NodeId> {
@@ -137,11 +124,10 @@ impl BmmmFsm {
             round,
             batch: self.batch.clone(),
         });
-        self.send_rts(0, env);
-        Flow::Continue
+        self.send_rts(0, env)
     }
 
-    fn send_rts(&mut self, i: usize, env: &mut Env<'_, '_>) {
+    fn send_rts(&mut self, i: usize, env: &mut Env<'_, '_>) -> Flow {
         let t = env.timing();
         let dur = t.bmmm_rts_duration(i, self.batch.len());
         let (slot, node, msg, target) = (env.now(), env.core.id, env.req.msg, self.batch[i]);
@@ -154,10 +140,10 @@ impl BmmmFsm {
         });
         env.send_control(FrameKind::Rts, Dest::Node(self.batch[i]), dur);
         self.phase = Phase::AwaitCts { i };
-        self.at = env.response_deadline(t.control_slots);
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
-    fn send_rak(&mut self, i: usize, env: &mut Env<'_, '_>) {
+    fn send_rak(&mut self, i: usize, env: &mut Env<'_, '_>) -> Flow {
         let t = env.timing();
         let dur = t.bmmm_rak_duration(i, self.batch.len());
         let (slot, node, msg, target) = (env.now(), env.core.id, env.req.msg, self.batch[i]);
@@ -170,7 +156,7 @@ impl BmmmFsm {
         });
         env.send_control(FrameKind::Rak, Dest::Node(self.batch[i]), dur);
         self.phase = Phase::AwaitAck { i };
-        self.at = env.response_deadline(t.control_slots);
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
     /// Traces the close of the RAK/ACK train. Called before the batch
@@ -192,7 +178,6 @@ impl BmmmFsm {
     /// outstanding, and decide what happens next.
     fn finish_batch(&mut self, env: &mut Env<'_, '_>) -> Flow {
         self.emit_batch_end(env);
-        self.phase = Phase::Idle;
         self.all_acked.extend(self.batch_acked.iter().copied());
         if self.location_aware {
             // UPDATE(S, S_ACK): keep the nodes not covered by the ACK set.
@@ -224,51 +209,33 @@ impl BmmmFsm {
         }
     }
 
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
-    }
-
     pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if env.now() != self.at || self.phase == Phase::Idle {
-            return Flow::Continue;
-        }
         let m = self.batch.len();
         match self.phase {
-            Phase::AwaitCts { i } => {
-                if i + 1 < m {
-                    // Whether or not p_i answered, poll the next receiver.
-                    self.send_rts(i + 1, env);
-                    Flow::Continue
-                } else if self.cts_any {
-                    let t = env.timing();
-                    env.send_data(
-                        Dest::group(self.s_remaining.clone()),
-                        t.bmmm_data_duration(m),
-                    );
-                    self.phase = Phase::Sending;
-                    self.at = env.now() + Slot::from(t.data_slots);
-                    Flow::Continue
-                } else {
-                    // No CTS at all: charge the silent batch, then back
-                    // off and restart the procedure.
-                    self.phase = Phase::Idle;
-                    let pruned =
-                        self.budget
-                            .charge_silent_batch(&self.batch, &mut self.s_remaining, env);
-                    if self.s_remaining.is_empty() {
-                        return Flow::Complete;
-                    }
-                    Flow::Recontend { reset_cw: pruned }
+            // Whether or not p_i answered, poll the next receiver.
+            Phase::AwaitCts { i } if i + 1 < m => self.send_rts(i + 1, env),
+            Phase::AwaitCts { .. } if self.cts_any => {
+                let t = env.timing();
+                env.send_data(
+                    Dest::group(self.s_remaining.clone()),
+                    t.bmmm_data_duration(m),
+                );
+                self.phase = Phase::Sending;
+                Flow::Await(env.now() + Slot::from(t.data_slots))
+            }
+            Phase::AwaitCts { .. } => {
+                // No CTS at all: charge the silent batch, then back off
+                // and restart the procedure.
+                let pruned =
+                    self.budget
+                        .charge_silent_batch(&self.batch, &mut self.s_remaining, env);
+                if self.s_remaining.is_empty() {
+                    return Flow::Complete;
                 }
+                Flow::Recontend { reset_cw: pruned }
             }
-            Phase::Sending => {
-                // Data airtime over: start the RAK/ACK train.
-                self.send_rak(0, env);
-                Flow::Continue
-            }
+            // Data airtime over: start the RAK/ACK train.
+            Phase::Sending => self.send_rak(0, env),
             Phase::AwaitAck { i } => {
                 if !self.batch_acked.contains(&self.batch[i]) {
                     let (slot, node, msg) = (env.now(), env.core.id, env.req.msg);
@@ -281,13 +248,11 @@ impl BmmmFsm {
                     });
                 }
                 if i + 1 < m {
-                    self.send_rak(i + 1, env);
-                    Flow::Continue
+                    self.send_rak(i + 1, env)
                 } else {
                     self.finish_batch(env)
                 }
             }
-            Phase::Idle => Flow::Continue,
         }
     }
 

@@ -13,17 +13,16 @@
 //! `tests/protocol_integration.rs`).
 
 use super::{Env, Flow, RetryBudget};
-use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot};
+use rmm_sim::{Dest, Frame, FrameKind, NodeId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Idle,
-    /// RTS to `batch[i]` sent; CTS window closes at `at`.
+    /// RTS to `batch[i]` sent; waiting out its CTS window.
     AwaitCts {
         /// Index into the current batch.
         i: usize,
     },
-    /// Data on the air; the simultaneous ACK burst lands at `at`.
+    /// Data sent; waiting out the simultaneous ACK burst.
     AwaitAckBurst,
 }
 
@@ -33,7 +32,6 @@ pub struct BmmmUncoordFsm {
     s_remaining: Vec<NodeId>,
     batch: Vec<NodeId>,
     phase: Phase,
-    at: Slot,
     cts_any: bool,
     batch_acked: Vec<NodeId>,
     all_acked: Vec<NodeId>,
@@ -48,8 +46,7 @@ impl BmmmUncoordFsm {
         BmmmUncoordFsm {
             s_remaining: receivers,
             batch: Vec::new(),
-            phase: Phase::Idle,
-            at: 0,
+            phase: Phase::AwaitCts { i: 0 },
             cts_any: false,
             batch_acked: Vec::new(),
             all_acked: Vec::new(),
@@ -67,7 +64,7 @@ impl BmmmUncoordFsm {
         self.budget.gave_up()
     }
 
-    fn send_rts(&mut self, i: usize, env: &mut Env<'_, '_>) {
+    fn send_rts(&mut self, i: usize, env: &mut Env<'_, '_>) -> Flow {
         let t = env.timing();
         // Same Duration arithmetic as BMMM minus the RAK train: the
         // reservation covers the rest of the poll, the data, and one ACK
@@ -78,7 +75,7 @@ impl BmmmUncoordFsm {
             remaining * 2 * t.control_slots + t.control_slots + t.data_slots + t.control_slots;
         env.send_control(FrameKind::Rts, Dest::Node(self.batch[i]), dur);
         self.phase = Phase::AwaitCts { i };
-        self.at = env.response_deadline(t.control_slots);
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
     pub(super) fn on_access(&mut self, env: &mut Env<'_, '_>) -> Flow {
@@ -88,49 +85,32 @@ impl BmmmUncoordFsm {
         self.batch = self.s_remaining.clone();
         self.cts_any = false;
         self.batch_acked.clear();
-        self.send_rts(0, env);
-        Flow::Continue
-    }
-
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
+        self.send_rts(0, env)
     }
 
     pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if env.now() != self.at || self.phase == Phase::Idle {
-            return Flow::Continue;
-        }
         let m = self.batch.len();
         match self.phase {
-            Phase::AwaitCts { i } => {
-                if i + 1 < m {
-                    self.send_rts(i + 1, env);
-                    Flow::Continue
-                } else if self.cts_any {
-                    let t = env.timing();
-                    // Duration: the uncoordinated ACK burst (1 slot).
-                    env.send_data(Dest::group(self.s_remaining.clone()), t.control_slots);
-                    self.phase = Phase::AwaitAckBurst;
-                    self.at = env.response_deadline(t.data_slots);
-                    Flow::Continue
-                } else {
-                    // No CTS at all: charge the silent batch before
-                    // backing off.
-                    self.phase = Phase::Idle;
-                    let pruned =
-                        self.budget
-                            .charge_silent_batch(&self.batch, &mut self.s_remaining, env);
-                    if self.s_remaining.is_empty() {
-                        return Flow::Complete;
-                    }
-                    Flow::Recontend { reset_cw: pruned }
+            Phase::AwaitCts { i } if i + 1 < m => self.send_rts(i + 1, env),
+            Phase::AwaitCts { .. } if self.cts_any => {
+                let t = env.timing();
+                // Duration: the uncoordinated ACK burst (1 slot).
+                env.send_data(Dest::group(self.s_remaining.clone()), t.control_slots);
+                self.phase = Phase::AwaitAckBurst;
+                Flow::Await(env.response_deadline(t.data_slots))
+            }
+            Phase::AwaitCts { .. } => {
+                // No CTS at all: charge the silent batch before backing
+                // off.
+                let pruned =
+                    self.budget
+                        .charge_silent_batch(&self.batch, &mut self.s_remaining, env);
+                if self.s_remaining.is_empty() {
+                    return Flow::Complete;
                 }
+                Flow::Recontend { reset_cw: pruned }
             }
             Phase::AwaitAckBurst => {
-                self.phase = Phase::Idle;
                 self.all_acked.extend(self.batch_acked.iter().copied());
                 self.s_remaining.retain(|n| !self.batch_acked.contains(n));
                 self.budget.prune_exhausted(&mut self.s_remaining, env);
@@ -140,7 +120,6 @@ impl BmmmUncoordFsm {
                     Flow::Recontend { reset_cw: true }
                 }
             }
-            Phase::Idle => Flow::Continue,
         }
     }
 

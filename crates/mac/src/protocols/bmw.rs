@@ -8,15 +8,14 @@
 //! overhearing an earlier round to a sibling) answers with a CTS whose
 //! `have` flag suppresses the redundant data transmission.
 
-use super::{Env, Flow};
-use rmm_sim::{Dest, Frame, FrameInfo, FrameKind, NodeId, Slot, TraceEvent};
+use super::{Env, Flow, RetryBudget};
+use rmm_sim::{Dest, Frame, FrameInfo, FrameKind, NodeId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Idle,
-    /// RTS to the current target sent; CTS due by `at`.
+    /// RTS to the current target sent; waiting for its CTS.
     AwaitCts,
-    /// DATA to the current target sent; ACK due by `at`.
+    /// DATA to the current target sent; waiting for its ACK.
     AwaitAck,
 }
 
@@ -27,12 +26,11 @@ pub struct BmwFsm {
     /// order).
     pending: Vec<NodeId>,
     phase: Phase,
-    at: Slot,
     acked: Vec<NodeId>,
-    /// Failed exchanges against the current (front) target.
-    tries: u32,
-    /// Targets abandoned after `timing.dest_retry_limit` failed tries.
-    gave_up: Vec<NodeId>,
+    /// Failed exchanges per target, and the targets given up on. Only
+    /// the front target is ever charged, so its count is its run of
+    /// failed exchanges.
+    budget: RetryBudget,
 }
 
 impl BmwFsm {
@@ -40,11 +38,9 @@ impl BmwFsm {
     pub fn new(receivers: Vec<NodeId>) -> Self {
         BmwFsm {
             pending: receivers,
-            phase: Phase::Idle,
-            at: 0,
+            phase: Phase::AwaitCts,
             acked: Vec::new(),
-            tries: 0,
-            gave_up: Vec::new(),
+            budget: RetryBudget::default(),
         }
     }
 
@@ -55,12 +51,7 @@ impl BmwFsm {
 
     /// Targets abandoned after exhausting their retry budget.
     pub fn gave_up(&self) -> &[NodeId] {
-        &self.gave_up
-    }
-
-    /// Targets still to serve.
-    pub fn pending(&self) -> &[NodeId] {
-        &self.pending
+        self.budget.gave_up()
     }
 
     fn target(&self) -> Option<NodeId> {
@@ -72,8 +63,10 @@ impl BmwFsm {
     fn advance(&mut self) -> Flow {
         let done = self.pending.remove(0);
         self.acked.push(done);
-        self.phase = Phase::Idle;
-        self.tries = 0;
+        self.next_target()
+    }
+
+    fn next_target(&self) -> Flow {
         if self.pending.is_empty() {
             Flow::Complete
         } else {
@@ -88,46 +81,19 @@ impl BmwFsm {
         let t = env.timing();
         env.send_control(FrameKind::Rts, Dest::Node(target), t.dcf_rts_duration());
         self.phase = Phase::AwaitCts;
-        self.at = env.response_deadline(t.control_slots);
-        Flow::Continue
-    }
-
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
     pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if env.now() != self.at || self.phase == Phase::Idle {
-            return Flow::Continue;
-        }
         // CTS or ACK missing: back off and retry the same target, until
         // its per-destination budget runs out — then abandon it (without
         // marking it served) and move on so one dead receiver cannot
         // monopolize the message.
-        self.phase = Phase::Idle;
-        self.tries += 1;
-        if self.tries >= env.timing().dest_retry_limit {
-            let dst = self.pending.remove(0);
-            let (slot, node, msg, after_retries) =
-                (env.now(), env.core.id, env.req.msg, self.tries);
-            env.emit(|| TraceEvent::GiveUp {
-                slot,
-                node,
-                msg,
-                dst,
-                after_retries,
-            });
-            self.gave_up.push(dst);
-            self.tries = 0;
-            if self.pending.is_empty() {
-                return Flow::Complete;
-            }
-            return Flow::Recontend { reset_cw: true };
+        if !self.budget.charge(self.pending[0], env) {
+            return Flow::Recontend { reset_cw: false };
         }
-        Flow::Recontend { reset_cw: false }
+        self.pending.remove(0);
+        self.next_target()
     }
 
     pub(super) fn on_frame(&mut self, frame: &Frame, env: &mut Env<'_, '_>) -> Flow {
@@ -146,8 +112,7 @@ impl BmwFsm {
                     let t = env.timing();
                     env.send_data(Dest::Node(target), t.control_slots);
                     self.phase = Phase::AwaitAck;
-                    self.at = env.response_deadline(t.data_slots);
-                    Flow::Continue
+                    Flow::Await(env.response_deadline(t.data_slots))
                 }
             }
             (Phase::AwaitAck, FrameKind::Ack) => self.advance(),

@@ -7,14 +7,13 @@
 //! the CTS exchange cannot complain.
 
 use super::{Env, Flow};
-use rmm_sim::{Dest, Frame, FrameKind, Slot};
+use rmm_sim::{Dest, Frame, FrameKind};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Idle,
-    /// Multicast RTS sent; CTS window closes at `at`.
+    /// Multicast RTS sent; waiting out the CTS window.
     AwaitCts,
-    /// Data sent; NAK window closes at `at`.
+    /// Data sent; waiting out the NAK window.
     AwaitNak,
 }
 
@@ -22,7 +21,6 @@ enum Phase {
 #[derive(Debug)]
 pub struct BsmaFsm {
     phase: Phase,
-    at: Slot,
     cts_any: bool,
     nak_seen: bool,
 }
@@ -31,8 +29,7 @@ impl BsmaFsm {
     /// New sender.
     pub fn new() -> Self {
         BsmaFsm {
-            phase: Phase::Idle,
-            at: 0,
+            phase: Phase::AwaitCts,
             cts_any: false,
             nak_seen: false,
         }
@@ -51,46 +48,24 @@ impl BsmaFsm {
             t.bsma_rts_duration(),
         );
         self.phase = Phase::AwaitCts;
-        self.at = env.response_deadline(t.control_slots);
-        Flow::Continue
-    }
-
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
     pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if env.now() != self.at || self.phase == Phase::Idle {
-            return Flow::Continue;
-        }
         match self.phase {
-            Phase::AwaitCts => {
-                if self.cts_any {
-                    let t = env.timing();
-                    // Duration covers the NAK window after the data.
-                    env.send_data(Dest::group(env.req.receivers.clone()), t.control_slots);
-                    self.phase = Phase::AwaitNak;
-                    self.at = env.response_deadline(t.data_slots);
-                    Flow::Continue
-                } else {
-                    self.phase = Phase::Idle;
-                    Flow::Recontend { reset_cw: false }
-                }
+            Phase::AwaitCts if self.cts_any => {
+                let t = env.timing();
+                // Duration covers the NAK window after the data.
+                env.send_data(Dest::group(env.req.receivers.clone()), t.control_slots);
+                self.phase = Phase::AwaitNak;
+                Flow::Await(env.response_deadline(t.data_slots))
             }
-            Phase::AwaitNak => {
-                self.phase = Phase::Idle;
-                if self.nak_seen {
-                    // A receiver reported a transmission problem: back off
-                    // and retransmit the whole exchange.
-                    Flow::Recontend { reset_cw: false }
-                } else {
-                    Flow::Complete
-                }
-            }
-            Phase::Idle => Flow::Continue,
+            // WAIT_FOR_CTS expired: back off and recontend.
+            Phase::AwaitCts => Flow::Recontend { reset_cw: false },
+            // A receiver reported a transmission problem: back off and
+            // retransmit the whole exchange.
+            Phase::AwaitNak if self.nak_seen => Flow::Recontend { reset_cw: false },
+            Phase::AwaitNak => Flow::Complete,
         }
     }
 

@@ -3,15 +3,13 @@
 //! this machine for the unicast share of the traffic mix.
 
 use super::{Env, Flow};
-use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot};
+use rmm_sim::{Dest, Frame, FrameKind, NodeId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Between contention phases; nothing in flight.
-    Idle,
-    /// RTS sent; CTS must be delivered by `at`.
+    /// RTS sent; waiting for the CTS.
     AwaitCts,
-    /// DATA sent; ACK must be delivered by `at`.
+    /// DATA sent; waiting for the ACK.
     AwaitAck,
 }
 
@@ -20,7 +18,6 @@ enum Phase {
 pub struct DcfFsm {
     target: NodeId,
     phase: Phase,
-    at: Slot,
     retries: u32,
     acked: Vec<NodeId>,
 }
@@ -30,8 +27,7 @@ impl DcfFsm {
     pub fn new(target: NodeId) -> Self {
         DcfFsm {
             target,
-            phase: Phase::Idle,
-            at: 0,
+            phase: Phase::AwaitCts,
             retries: 0,
             acked: Vec::new(),
         }
@@ -50,23 +46,11 @@ impl DcfFsm {
             t.dcf_rts_duration(),
         );
         self.phase = Phase::AwaitCts;
-        self.at = env.response_deadline(t.control_slots);
-        Flow::Continue
-    }
-
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
     pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if env.now() != self.at || self.phase == Phase::Idle {
-            return Flow::Continue;
-        }
         // The expected response did not arrive.
-        self.phase = Phase::Idle;
         self.retries += 1;
         if self.retries > env.timing().retry_limit {
             Flow::Abort
@@ -84,12 +68,10 @@ impl DcfFsm {
                 let t = env.timing();
                 env.send_data(Dest::Node(self.target), t.control_slots);
                 self.phase = Phase::AwaitAck;
-                self.at = env.response_deadline(t.data_slots);
-                Flow::Continue
+                Flow::Await(env.response_deadline(t.data_slots))
             }
             (Phase::AwaitAck, FrameKind::Ack) => {
                 self.acked.push(self.target);
-                self.phase = Phase::Idle;
                 Flow::Complete
             }
             _ => Flow::Continue,

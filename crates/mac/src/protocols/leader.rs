@@ -17,15 +17,14 @@
 //! unprotected — and the sender never learns per-receiver state. The
 //! leader is the first receiver in the request's list.
 
-use super::{Env, Flow};
-use rmm_sim::{Dest, Frame, FrameKind, NodeId, Slot, TraceEvent};
+use super::{Env, Flow, RetryBudget};
+use rmm_sim::{Dest, Frame, FrameKind, NodeId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Idle,
-    /// Multicast RTS sent; leader CTS due by `at`.
+    /// Multicast RTS sent; waiting for the leader's CTS.
     AwaitCts,
-    /// Data sent; leader ACK (or jam silence) due by `at`.
+    /// Data sent; waiting for the leader's ACK (or its jam).
     AwaitAck,
 }
 
@@ -33,29 +32,25 @@ enum Phase {
 #[derive(Debug)]
 pub struct LeaderFsm {
     phase: Phase,
-    at: Slot,
     cts_ok: bool,
     ack_ok: bool,
     acked: Vec<NodeId>,
-    /// Consecutive failed attempts under the current leader.
-    tries: u32,
-    /// Leaders demoted after `timing.dest_retry_limit` failed attempts.
-    /// A dead leader would otherwise wedge the whole group; demoting it
-    /// rotates leadership to the next receiver in list order.
-    gave_up: Vec<NodeId>,
+    /// Failed attempts per leader, and the leaders demoted after
+    /// `timing.dest_retry_limit` of them. A dead leader would otherwise
+    /// wedge the whole group; demoting it rotates leadership to the next
+    /// receiver in list order. Only the current leader is ever charged.
+    budget: RetryBudget,
 }
 
 impl LeaderFsm {
     /// New sender; the leader is `receivers\[0\]` by convention.
     pub fn new() -> Self {
         LeaderFsm {
-            phase: Phase::Idle,
-            at: 0,
+            phase: Phase::AwaitCts,
             cts_ok: false,
             ack_ok: false,
             acked: Vec::new(),
-            tries: 0,
-            gave_up: Vec::new(),
+            budget: RetryBudget::default(),
         }
     }
 
@@ -71,7 +66,7 @@ impl LeaderFsm {
 
     /// Leaders abandoned after exhausting their retry budget.
     pub fn gave_up(&self) -> &[NodeId] {
-        &self.gave_up
+        self.budget.gave_up()
     }
 
     /// The request's receiver list minus demoted leaders, order
@@ -83,31 +78,19 @@ impl LeaderFsm {
             .receivers
             .iter()
             .copied()
-            .filter(|n| !self.gave_up.contains(n))
+            .filter(|n| !self.budget.gave_up().contains(n))
             .collect()
     }
 
     /// One more failed attempt under the current leader: retry, or — once
-    /// the per-destination budget is spent — demote it and rotate.
+    /// the per-destination budget is spent — demote it and rotate. An
+    /// exchange is only ever opened with a leader, so the group is not
+    /// empty here.
     fn fail_attempt(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        self.phase = Phase::Idle;
-        self.tries += 1;
-        if self.tries < env.timing().dest_retry_limit {
+        let group = self.group(env);
+        if !self.budget.charge(group[0], env) {
             return Flow::Recontend { reset_cw: false };
         }
-        let group = self.group(env);
-        let (slot, node, msg, after_retries) = (env.now(), env.core.id, env.req.msg, self.tries);
-        if let Some(&dst) = group.first() {
-            env.emit(|| TraceEvent::GiveUp {
-                slot,
-                node,
-                msg,
-                dst,
-                after_retries,
-            });
-            self.gave_up.push(dst);
-        }
-        self.tries = 0;
         if group.len() <= 1 {
             // No receiver left to lead: the message is undeliverable.
             Flow::Abort
@@ -126,51 +109,31 @@ impl LeaderFsm {
         self.ack_ok = false;
         env.send_control(FrameKind::Rts, Dest::group(group), t.dcf_rts_duration());
         self.phase = Phase::AwaitCts;
-        self.at = env.response_deadline(t.control_slots);
-        Flow::Continue
-    }
-
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
     pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if env.now() != self.at || self.phase == Phase::Idle {
-            return Flow::Continue;
-        }
         match self.phase {
-            Phase::AwaitCts => {
-                if self.cts_ok {
-                    let t = env.timing();
-                    // Duration covers the ACK/jam slot after the data.
-                    let group = self.group(env);
-                    env.send_data(Dest::group(group), t.control_slots);
-                    self.phase = Phase::AwaitAck;
-                    self.at = env.response_deadline(t.data_slots);
-                    Flow::Continue
-                } else {
-                    self.fail_attempt(env)
-                }
+            Phase::AwaitCts if self.cts_ok => {
+                let t = env.timing();
+                // Duration covers the ACK/jam slot after the data.
+                let group = self.group(env);
+                env.send_data(Dest::group(group), t.control_slots);
+                self.phase = Phase::AwaitAck;
+                Flow::Await(env.response_deadline(t.data_slots))
             }
-            Phase::AwaitAck => {
-                if self.ack_ok {
-                    self.phase = Phase::Idle;
-                    // A clean leader ACK: no receiver jammed it.
-                    if let Some(leader) = Self::leader(&self.group(env)) {
-                        if !self.acked.contains(&leader) {
-                            self.acked.push(leader);
-                        }
+            Phase::AwaitAck if self.ack_ok => {
+                // A clean leader ACK: no receiver jammed it.
+                if let Some(leader) = Self::leader(&self.group(env)) {
+                    if !self.acked.contains(&leader) {
+                        self.acked.push(leader);
                     }
-                    Flow::Complete
-                } else {
-                    // Missing or jammed ACK: retransmit everything.
-                    self.fail_attempt(env)
                 }
+                Flow::Complete
             }
-            Phase::Idle => Flow::Continue,
+            // No leader CTS, or a missing or jammed ACK: retransmit
+            // everything.
+            Phase::AwaitCts | Phase::AwaitAck => self.fail_attempt(env),
         }
     }
 

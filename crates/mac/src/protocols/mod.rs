@@ -4,11 +4,15 @@
 //! the owning [`crate::node::MacNode`]:
 //!
 //! * [`Fsm::on_access`] — the contention phase was just won; transmit.
-//! * [`Fsm::on_slot`] — one slot elapsed; check deadlines, continue.
+//! * [`Fsm::on_slot`] — the pending exchange's deadline arrived: its
+//!   response window closed or its airtime ended.
 //! * [`Fsm::on_frame`] — a sender-relevant frame (CTS/ACK/NAK) addressed
 //!   to this station was decoded.
 //!
 //! Each callback returns a [`Flow`] telling the node what to do next.
+//! Every frame a sender puts on the air opens an exchange whose deadline
+//! it hands back as [`Flow::Await`]; the node keeps that slot and calls
+//! [`Fsm::on_slot`] when it arrives, so no FSM keeps a clock of its own.
 //! Receiver-side behaviour (CTS/ACK/NAK replies, NAV) is shared and lives
 //! in the node itself.
 
@@ -139,8 +143,11 @@ impl ProtocolKind {
 /// What the owning node should do after an FSM callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
-    /// Keep going.
+    /// Keep going; the pending exchange's deadline stands.
     Continue,
+    /// A frame went on the air: call [`Fsm::on_slot`] at this slot, where
+    /// its response window closes or its airtime ends.
+    Await(Slot),
     /// Enter a new contention phase. `reset_cw` distinguishes a *new
     /// round* (e.g. the next BMW target or BMMM batch — fresh window)
     /// from a *retry* after failure (binary exponential backoff).
@@ -237,11 +244,11 @@ impl Env<'_, '_> {
     }
 }
 
-/// The per-destination retry budget of the batch senders (BMMM, LAMM
-/// and BMMM-U): every completed batch a receiver is not confirmed in is
-/// one failed round, and a receiver that reaches
-/// `timing.dest_retry_limit` failed rounds is given up on, so one dead
-/// receiver costs a bounded number of batches.
+/// The per-destination retry budget every reliable sender charges (BMW,
+/// BMMM, LAMM, BMMM-U and the leader scheme): every exchange or batch a
+/// receiver is served in without confirming is one failed round, and a
+/// receiver that reaches `timing.dest_retry_limit` failed rounds is given
+/// up on, so one dead receiver costs a bounded number of rounds.
 #[derive(Debug, Default)]
 pub(crate) struct RetryBudget {
     /// Failed rounds charged to each receiver so far.
@@ -259,7 +266,7 @@ impl RetryBudget {
     /// Charges one failed round to `dst`. Returns whether that exhausted
     /// its budget, in which case `dst` is traced and recorded as given
     /// up on.
-    fn charge(&mut self, dst: NodeId, env: &mut Env<'_, '_>) -> bool {
+    pub(crate) fn charge(&mut self, dst: NodeId, env: &mut Env<'_, '_>) -> bool {
         let count = match self.misses.iter_mut().find(|(n, _)| *n == dst) {
             Some((_, c)) => {
                 *c += 1;
@@ -370,35 +377,21 @@ impl Fsm {
         }
     }
 
-    /// Per-slot deadline processing.
+    /// The deadline of the pending exchange (the last [`Flow::Await`])
+    /// arrived. Every FSM acts here: it sends and awaits again,
+    /// recontends or finishes, since a [`Flow::Continue`] would leave
+    /// the deadline in the past.
     pub fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
         match self {
             Fsm::Dcf(f) => f.on_slot(env),
-            Fsm::Plain(f) => f.on_slot(env),
+            // The data frame left the air.
+            Fsm::Plain(_) => Flow::Complete,
             Fsm::Tang(f) => f.on_slot(env),
             Fsm::Bsma(f) => f.on_slot(env),
             Fsm::Bmw(f) => f.on_slot(env),
             Fsm::Bmmm(f) => f.on_slot(env),
             Fsm::Leader(f) => f.on_slot(env),
             Fsm::BmmmUncoord(f) => f.on_slot(env),
-        }
-    }
-
-    /// The next slot at which [`Fsm::on_slot`] will act (the pending
-    /// response or airtime deadline), if an exchange is in flight.
-    /// `None` whenever the FSM is idle — in particular while the station
-    /// is still contending for the medium. Feeds
-    /// [`Station::next_wakeup`](rmm_sim::Station::next_wakeup).
-    pub fn deadline(&self) -> Option<Slot> {
-        match self {
-            Fsm::Dcf(f) => f.deadline(),
-            Fsm::Plain(f) => f.deadline(),
-            Fsm::Tang(f) => f.deadline(),
-            Fsm::Bsma(f) => f.deadline(),
-            Fsm::Bmw(f) => f.deadline(),
-            Fsm::Bmmm(f) => f.deadline(),
-            Fsm::Leader(f) => f.deadline(),
-            Fsm::BmmmUncoord(f) => f.deadline(),
         }
     }
 

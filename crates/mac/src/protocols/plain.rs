@@ -6,27 +6,15 @@
 use super::{Env, Flow};
 use rmm_sim::{Dest, Slot};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    /// Data on the air; transmission finishes at `at`.
-    Sending,
-}
-
-/// Plain 802.11 multicast sender.
-#[derive(Debug)]
-pub struct PlainFsm {
-    phase: Phase,
-    at: Slot,
-}
+/// Plain 802.11 multicast sender. It keeps no state: the message is
+/// served when its one data frame leaves the air.
+#[derive(Debug, Default)]
+pub struct PlainFsm;
 
 impl PlainFsm {
     /// New sender.
     pub fn new() -> Self {
-        PlainFsm {
-            phase: Phase::Idle,
-            at: 0,
-        }
+        PlainFsm
     }
 
     pub(super) fn on_access(&mut self, env: &mut Env<'_, '_>) -> Flow {
@@ -35,29 +23,6 @@ impl PlainFsm {
         }
         let t = env.timing();
         env.send_data(Dest::group(env.req.receivers.clone()), 0);
-        self.phase = Phase::Sending;
-        self.at = env.now() + Slot::from(t.data_slots);
-        Flow::Continue
-    }
-
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
-    }
-
-    pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if self.phase == Phase::Sending && env.now() == self.at {
-            self.phase = Phase::Idle;
-            return Flow::Complete;
-        }
-        Flow::Continue
-    }
-}
-
-impl Default for PlainFsm {
-    fn default() -> Self {
-        PlainFsm::new()
+        Flow::Await(env.now() + Slot::from(t.data_slots))
     }
 }

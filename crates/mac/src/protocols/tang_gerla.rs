@@ -11,10 +11,9 @@ use rmm_sim::{Dest, Frame, FrameKind, Slot};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Idle,
-    /// Multicast RTS sent; CTS window closes at `at`.
+    /// Multicast RTS sent; waiting out the CTS window.
     AwaitCts,
-    /// Data on the air until `at`.
+    /// Data on the air.
     Sending,
 }
 
@@ -22,7 +21,6 @@ enum Phase {
 #[derive(Debug)]
 pub struct TangFsm {
     phase: Phase,
-    at: Slot,
     cts_any: bool,
 }
 
@@ -30,8 +28,7 @@ impl TangFsm {
     /// New sender.
     pub fn new() -> Self {
         TangFsm {
-            phase: Phase::Idle,
-            at: 0,
+            phase: Phase::AwaitCts,
             cts_any: false,
         }
     }
@@ -48,40 +45,20 @@ impl TangFsm {
             t.tg_rts_duration(),
         );
         self.phase = Phase::AwaitCts;
-        self.at = env.response_deadline(t.control_slots);
-        Flow::Continue
-    }
-
-    /// The next slot at which `on_slot` will act — the pending response
-    /// or airtime deadline — if an exchange is in flight. Feeds the
-    /// station's event-horizon wakeup hint.
-    pub(super) fn deadline(&self) -> Option<Slot> {
-        (self.phase != Phase::Idle).then_some(self.at)
+        Flow::Await(env.response_deadline(t.control_slots))
     }
 
     pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        if env.now() != self.at || self.phase == Phase::Idle {
-            return Flow::Continue;
-        }
         match self.phase {
-            Phase::AwaitCts => {
-                if self.cts_any {
-                    let t = env.timing();
-                    env.send_data(Dest::group(env.req.receivers.clone()), 0);
-                    self.phase = Phase::Sending;
-                    self.at = env.now() + Slot::from(t.data_slots);
-                    Flow::Continue
-                } else {
-                    // WAIT_FOR_CTS expired: back off and recontend.
-                    self.phase = Phase::Idle;
-                    Flow::Recontend { reset_cw: false }
-                }
+            Phase::AwaitCts if self.cts_any => {
+                let t = env.timing();
+                env.send_data(Dest::group(env.req.receivers.clone()), 0);
+                self.phase = Phase::Sending;
+                Flow::Await(env.now() + Slot::from(t.data_slots))
             }
-            Phase::Sending => {
-                self.phase = Phase::Idle;
-                Flow::Complete
-            }
-            Phase::Idle => Flow::Continue,
+            // WAIT_FOR_CTS expired: back off and recontend.
+            Phase::AwaitCts => Flow::Recontend { reset_cw: false },
+            Phase::Sending => Flow::Complete,
         }
     }
 

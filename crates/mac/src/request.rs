@@ -49,9 +49,10 @@ impl Request {
         }
     }
 
-    /// Whether the request has passed its service deadline at `now`.
+    /// Whether the request has passed its service deadline at `now`. A
+    /// deadline past `Slot::MAX` saturates to it instead of wrapping.
     pub fn timed_out(&self, now: Slot, timeout: Slot) -> bool {
-        now >= self.arrival + timeout
+        now >= self.arrival.saturating_add(timeout)
     }
 }
 
@@ -74,6 +75,10 @@ mod tests {
         assert!(!r.timed_out(50, 100));
         assert!(!r.timed_out(149, 100));
         assert!(r.timed_out(150, 100));
+        assert!(
+            !r.timed_out(Slot::MAX - 1, Slot::MAX),
+            "the deadline saturates"
+        );
     }
 
     #[test]

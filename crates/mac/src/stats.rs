@@ -132,9 +132,8 @@ impl SentRecord {
 /// Running per-node counters, cheap enough to keep always-on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeCounters {
-    /// Frames this station put on the air.
-    pub frames_sent: u64,
-    /// Transmitted frames by kind.
+    /// Transmitted frames by kind (their `total()` is every frame this
+    /// station put on the air).
     pub sent_by_kind: FrameKindCounts,
     /// Frames this station decoded.
     pub frames_received: u64,

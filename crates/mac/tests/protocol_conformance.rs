@@ -3,7 +3,7 @@
 
 use rmm_geom::Point;
 use rmm_mac::{MacNode, MacTiming, Outcome, ProtocolKind, TrafficKind};
-use rmm_sim::{Capture, Engine, FrameKind, NodeId, Topology, TraceEvent};
+use rmm_sim::{Capture, Engine, FaultPlan, FrameKind, NodeId, Slot, Topology, TraceEvent};
 
 fn nid(n: u32) -> NodeId {
     NodeId(n)
@@ -28,12 +28,37 @@ struct Run {
 /// One sender (node 0) multicasting to all its neighbors, no cross
 /// traffic.
 fn run_single_multicast(protocol: ProtocolKind, n_receivers: usize, slots: u64) -> Run {
+    run_star(
+        protocol,
+        TrafficKind::Multicast,
+        n_receivers,
+        slots,
+        FaultPlan::new(),
+    )
+}
+
+/// One `kind` message from node 0 of `star(n_receivers)` to all its
+/// neighbors (to node 1 alone for unicast), no cross traffic, with
+/// `faults` injected.
+fn run_star(
+    protocol: ProtocolKind,
+    kind: TrafficKind,
+    n_receivers: usize,
+    slots: u64,
+    faults: FaultPlan,
+) -> Run {
     let topo = star(n_receivers);
     let mut nodes = MacNode::build_network(&topo, protocol, MacTiming::default(), 42);
     let mut engine = Engine::new(topo, Capture::ZorziRao, 42);
     engine.enable_trace();
-    let receivers: Vec<NodeId> = (1..=n_receivers as u32).map(NodeId).collect();
-    nodes[0].enqueue(TrafficKind::Multicast, receivers, 0);
+    if !faults.is_empty() {
+        engine.set_faults(faults);
+    }
+    let receivers: Vec<NodeId> = match kind {
+        TrafficKind::Unicast => vec![nid(1)],
+        _ => (1..=n_receivers as u32).map(NodeId).collect(),
+    };
+    nodes[0].enqueue(kind, receivers, 0);
     engine.run(&mut nodes, slots);
     Run { nodes, engine }
 }
@@ -674,6 +699,103 @@ fn bmmm_batch_gaps_stay_below_difs() {
                 timing.difs
             );
         }
+    }
+}
+
+/// Checks the slot of every frame, recontention and completion of node
+/// 0's one message against the exchange clock, and returns how many
+/// frames it checked. The sender's first frame goes out in the slot its
+/// contention ends; each later frame, recontention and the completion
+/// in the slot where its last frame's response window closed (airtime
+/// plus one control slot) or, for a data frame no reply follows at once
+/// (`data_awaits_reply` false), where the data left the air. Every reply
+/// goes out in the slot after the sender's frame ends.
+fn assert_exchange_clock(run: &Run, data_awaits_reply: bool, label: &str) -> usize {
+    let window = Slot::from(MacTiming::default().control_slots);
+    let (mut due, mut last_end, mut frames) = (None, None, 0);
+    for ev in run.engine.trace().unwrap().events() {
+        match *ev {
+            TraceEvent::ContentionStart { slot, node, .. } if node == nid(0) => {
+                // The first contention starts on arrival, not on a clock.
+                if due.is_some() {
+                    assert_eq!(Some(slot), due, "{label}: recontention");
+                }
+                due = None;
+            }
+            TraceEvent::ContentionEnd { slot, node, .. } if node == nid(0) => due = Some(slot),
+            TraceEvent::TxStart {
+                slot,
+                node,
+                kind,
+                slots,
+                ..
+            } => {
+                frames += 1;
+                let end = slot + Slot::from(slots);
+                if node == nid(0) {
+                    assert_eq!(Some(slot), due, "{label}: the sender's {kind:?}");
+                    let answered = kind != FrameKind::Data || data_awaits_reply;
+                    due = Some(if answered { end + window } else { end });
+                    last_end = Some(end);
+                } else {
+                    assert_eq!(Some(slot), last_end, "{label}: {kind:?} from {node:?}");
+                }
+            }
+            _ => {}
+        }
+    }
+    let outcome = run.nodes[0].records()[0].outcome;
+    let Outcome::Completed(done) = outcome else {
+        panic!("{label}: {outcome:?}");
+    };
+    assert_eq!(Some(done), due, "{label}: completion");
+    frames
+}
+
+#[test]
+fn every_frame_goes_out_in_the_slot_its_exchange_names() {
+    use ProtocolKind::*;
+    use TrafficKind::{Multicast, Unicast};
+    // (protocol, traffic, receivers, whether a reply answers the data at
+    // once). BSMA gets one receiver: two CTSs collide, and each receiver
+    // then NAKs on its own WAIT_FOR_DATA clock while the sender contends.
+    let cases = [
+        (Ieee80211, Multicast, 2, false),
+        (TangGerla, Multicast, 2, false),
+        (Bsma, Multicast, 1, true),
+        (Bmw, Multicast, 2, true),
+        (Bmmm, Multicast, 2, false),
+        (Lamm, Multicast, 2, false),
+        (LeaderBased, Multicast, 2, true),
+        (BmmmUncoordinated, Multicast, 2, true),
+        // DCF, which serves unicast under every protocol.
+        (Bmmm, Unicast, 1, true),
+    ];
+    for (protocol, kind, n, data_awaits_reply) in cases {
+        let label = format!("{protocol:?} {kind:?}");
+        let clean = run_star(protocol, kind, n, 200, FaultPlan::new());
+        assert!(assert_exchange_clock(&clean, data_awaits_reply, &label) > 0);
+        // Lose receiver 1's last reply: the sender must act where that
+        // reply's window closes. (802.11 has no reply to lose; a BSMA
+        // receiver whose CTS is lost NAKs on its own clock.)
+        let lost = clean
+            .engine
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .rev()
+            .find_map(|ev| match *ev {
+                TraceEvent::TxStart { slot, node, .. } if node == nid(1) => Some(slot),
+                _ => None,
+            });
+        let Some(lost) = lost.filter(|_| protocol != Bsma) else {
+            continue;
+        };
+        let faults = FaultPlan::new().mute(nid(1), lost, lost + 1);
+        let run = run_star(protocol, kind, n, 400, faults);
+        let label = format!("{label}, reply at slot {lost} lost");
+        assert!(assert_exchange_clock(&run, data_awaits_reply, &label) > 0);
     }
 }
 

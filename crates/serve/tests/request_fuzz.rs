@@ -42,6 +42,10 @@ fn line_of(req: RunRequest) -> Vec<u8> {
         .into_bytes()
 }
 
+/// How many inputs [`out_of_range`] has; the generator and the coverage
+/// check both walk `0..OUT_OF_RANGE_INPUTS`.
+const OUT_OF_RANGE_INPUTS: usize = 16;
+
 /// Requests whose scenario (or protocol) the server must refuse: built
 /// through the types where they allow it, edited in the JSON where the
 /// value does not even fit the field.
@@ -82,6 +86,7 @@ fn out_of_range(k: usize) -> Vec<u8> {
         11 => edit("\"sim_slots\":400", "\"sim_slots\":1e400"),
         12 => edit("\"radius\":0.2", "\"radius\":\"wide\""),
         13 => edit("\"seed\":3", "\"seed\":18446744073709551616"),
+        14 => with(tiny().with_stall_window(0)),
         _ => edit("\"msg_rate\":0.0005", "\"msg_rate\":null"),
     }
 }
@@ -114,7 +119,7 @@ fn any_line() -> impl Strategy<Value = Vec<u8>> {
             line
         }),
         // Scenario values out of range.
-        (0usize..15).prop_map(out_of_range),
+        (0usize..OUT_OF_RANGE_INPUTS).prop_map(out_of_range),
         // Junk right up to the bound.
         (0usize..3).prop_map(|k| vec![b'{'; MAX_REQUEST_LINE - k]),
         // Nesting deeper than any parser should recurse.
@@ -190,7 +195,7 @@ proptest! {
 
 #[test]
 fn the_generators_reach_every_kind_of_bad_line() {
-    for k in 0..15 {
+    for k in 0..OUT_OF_RANGE_INPUTS {
         assert!(owes_one_error(&out_of_range(k)), "out-of-range input {k}");
     }
     assert!(owes_one_error(b"\xff\xfe not utf8"));

@@ -365,8 +365,6 @@ pub struct Channel {
     shadow: Option<Box<reference::ReferenceChannel>>,
     /// Count of frame receptions destroyed by collisions (monotone).
     pub collisions_total: u64,
-    /// Count of frame receptions destroyed by random frame errors.
-    pub frame_errors_total: u64,
     /// Count of frame receptions destroyed by the burst-error channel.
     pub burst_errors_total: u64,
     /// Count of slots during which at least one transmission was on the
@@ -398,7 +396,6 @@ impl Channel {
             burst: None,
             shadow: None,
             collisions_total: 0,
-            frame_errors_total: 0,
             burst_errors_total: 0,
             busy_slots: 0,
         }
@@ -474,11 +471,6 @@ impl Channel {
         shadow.set_fer(self.fer);
         shadow.mirror_burst(self.burst.clone());
         self.shadow = Some(shadow);
-    }
-
-    /// Whether the naive shadow channel is active.
-    pub fn crosscheck_enabled(&self) -> bool {
-        self.shadow.is_some()
     }
 
     /// Binds the index structures to a station count the first time a

@@ -335,13 +335,7 @@ impl Engine {
     /// reported nanoseconds are stride-scaled whole-run estimates
     /// accumulated into a [`ProfileReport`].
     pub fn enable_profiling(&mut self) {
-        self.enable_profiling_stride(Self::PROFILE_STRIDE);
-    }
-
-    /// Enables phase-timer profiling timing every `stride`-th slot
-    /// (stride 1 = time everything, exact totals, highest overhead).
-    pub fn enable_profiling_stride(&mut self, stride: u64) {
-        self.prof = Some(Box::new(Profiler::with_stride(stride)));
+        self.prof = Some(Box::new(Profiler::with_stride(Self::PROFILE_STRIDE)));
     }
 
     /// Snapshot of the accumulated phase attribution, if profiling is
@@ -569,7 +563,6 @@ impl Engine {
             }
         }
         self.channel.count_collisions(self.outcome.collisions.len());
-        self.channel.frame_errors_total += self.outcome.frame_errors.len() as u64;
         self.lap(&mut mark, Phase::Resolve);
         for rec in &self.outcome.receptions {
             let node = rec.receiver;

@@ -145,6 +145,78 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// One `kind:node@when` entry of a fault or churn spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecEntry<'a, K> {
+    /// The entry's kind, from the caller's table.
+    pub kind: K,
+    /// The node the entry names.
+    pub node: NodeId,
+    /// The text after `@`, left for the caller's own grammar. It is a
+    /// subslice of the spec, so [`SpecError::at`] spans it.
+    pub when: &'a str,
+}
+
+/// Reads a `;`-separated spec of `kind:node@when` entries, the grammar
+/// [`FaultPlan::parse`] and the workload's churn spec share. Each entry is
+/// trimmed and empty ones are skipped; its kind is looked up in `kinds`
+/// and its node id parsed, with `noun` naming the spec in messages.
+/// Entries are read lazily, so a caller that reads each `when` as it
+/// comes reports the first bad entry in spec order.
+pub fn spec_entries<'a, K: Copy>(
+    spec: &'a str,
+    noun: &'a str,
+    kinds: &'a [(&'a str, K)],
+) -> impl Iterator<Item = Result<SpecEntry<'a, K>, SpecError>> + 'a {
+    spec.split(';')
+        .map(str::trim)
+        .filter(|entry| !entry.is_empty())
+        .map(move |entry| {
+            let (kind_s, rest) = entry.split_once(':').ok_or_else(|| {
+                SpecError::at(
+                    spec,
+                    entry,
+                    format!("{noun} entry `{entry}` missing `kind:`"),
+                )
+            })?;
+            let Some(&(_, kind)) = kinds.iter().find(|(name, _)| *name == kind_s) else {
+                let names: Vec<&str> = kinds.iter().map(|(name, _)| *name).collect();
+                let (last, init) = names.split_last().expect("a spec has kinds");
+                let comma = if init.len() > 1 { "," } else { "" };
+                return Err(SpecError::at(
+                    spec,
+                    kind_s,
+                    format!(
+                        "unknown {noun} kind `{kind_s}` (expected {}{comma} or {last})",
+                        init.join(", ")
+                    ),
+                ));
+            };
+            let (node_s, when) = rest.split_once('@').ok_or_else(|| {
+                SpecError::at(
+                    spec,
+                    entry,
+                    format!("{noun} entry `{entry}` missing `@slot`"),
+                )
+            })?;
+            let node = node_s
+                .parse()
+                .map_err(|_| SpecError::at(spec, node_s, format!("bad node id `{node_s}`")))?;
+            Ok(SpecEntry {
+                kind,
+                node: NodeId(node),
+                when,
+            })
+        })
+}
+
+/// Parses `token`, a subslice of `spec`, as a slot number.
+pub fn spec_slot(spec: &str, token: &str) -> Result<Slot, SpecError> {
+    token
+        .parse()
+        .map_err(|_| SpecError::at(spec, token, format!("bad slot `{token}`")))
+}
+
 /// A deterministic schedule of node faults, applied by the engine.
 ///
 /// The plan is a pure function of `(node, slot)`: it draws no randomness
@@ -385,60 +457,22 @@ impl FaultPlan {
     /// requires one. Errors carry the byte span of the offending token
     /// in `spec`.
     pub fn parse(spec: &str) -> Result<Self, SpecError> {
+        const KINDS: [(&str, FaultKind); 4] = [
+            ("crash", FaultKind::Crash),
+            ("deaf", FaultKind::Deaf),
+            ("mute", FaultKind::TxMute),
+            ("reboot", FaultKind::Reboot),
+        ];
         let mut plan = FaultPlan::new();
-        for raw in spec.split(';') {
-            let entry = raw.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (kind_s, rest) = entry.split_once(':').ok_or_else(|| {
-                SpecError::at(
-                    spec,
-                    entry,
-                    format!("fault entry `{entry}` missing `kind:`"),
-                )
-            })?;
-            let kind = match kind_s {
-                "crash" => FaultKind::Crash,
-                "deaf" => FaultKind::Deaf,
-                "mute" => FaultKind::TxMute,
-                "reboot" => FaultKind::Reboot,
-                other => {
-                    return Err(SpecError::at(
-                        spec,
-                        kind_s,
-                        format!(
-                            "unknown fault kind `{other}` (expected crash, deaf, mute, or reboot)"
-                        ),
-                    ))
-                }
-            };
-            let (node_s, when_s) = rest.split_once('@').ok_or_else(|| {
-                SpecError::at(
-                    spec,
-                    entry,
-                    format!("fault entry `{entry}` missing `@slot`"),
-                )
-            })?;
-            let node: u32 = node_s
-                .parse()
-                .map_err(|_| SpecError::at(spec, node_s, format!("bad node id `{node_s}`")))?;
+        for entry in spec_entries(spec, "fault", &KINDS) {
+            let SpecEntry {
+                kind,
+                node,
+                when: when_s,
+            } = entry?;
             let (from, until) = match when_s.split_once("..") {
-                Some((a, b)) => {
-                    let from = a
-                        .parse()
-                        .map_err(|_| SpecError::at(spec, a, format!("bad slot `{a}`")))?;
-                    let until = b
-                        .parse()
-                        .map_err(|_| SpecError::at(spec, b, format!("bad slot `{b}`")))?;
-                    (from, Some(until))
-                }
-                None => {
-                    let from = when_s
-                        .parse()
-                        .map_err(|_| SpecError::at(spec, when_s, format!("bad slot `{when_s}`")))?;
-                    (from, None)
-                }
+                Some((a, b)) => (spec_slot(spec, a)?, Some(spec_slot(spec, b)?)),
+                None => (spec_slot(spec, when_s)?, None),
             };
             if kind == FaultKind::Crash {
                 if let Some(u) = until {
@@ -447,7 +481,8 @@ impl FaultPlan {
                         when_s,
                         format!(
                             "crash is permanent and takes no `..until` window; \
-                             a crash that recovers is `reboot:{node}@{from}..{u}`"
+                             a crash that recovers is `reboot:{}@{from}..{u}`",
+                            node.0
                         ),
                     ));
                 }
@@ -457,8 +492,9 @@ impl FaultPlan {
                     spec,
                     when_s,
                     format!(
-                        "reboot needs a recovery slot: `reboot:{node}@{from}..until` \
-                         (a permanent outage is `crash:{node}@{from}`)"
+                        "reboot needs a recovery slot: `reboot:{0}@{from}..until` \
+                         (a permanent outage is `crash:{0}@{from}`)",
+                        node.0
                     ),
                 ));
             }
@@ -470,7 +506,7 @@ impl FaultPlan {
                 ));
             }
             plan.faults.push(NodeFault {
-                node: NodeId(node),
+                node,
                 kind,
                 from,
                 until,
@@ -547,11 +583,6 @@ impl BurstChain {
         } else {
             u < self.model.p
         };
-        self.bad
-    }
-
-    /// Whether the chain is currently in the Bad (lossy) state.
-    pub fn is_bad(&self) -> bool {
         self.bad
     }
 }

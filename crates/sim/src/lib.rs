@@ -37,7 +37,10 @@ pub mod wire;
 pub use capture::{zorzi_rao_capture, Capture};
 pub use channel::{Channel, Reception, Transmission};
 pub use engine::{Ctx, Engine, Station};
-pub use fault::{BurstChain, FaultKind, FaultPlan, GilbertElliott, NodeFault, SpecError};
+pub use fault::{
+    spec_entries, spec_slot, BurstChain, FaultKind, FaultPlan, GilbertElliott, NodeFault,
+    SpecEntry, SpecError,
+};
 pub use frame::{Dest, Frame, FrameInfo, FrameKind};
 pub use ids::{BuildIdHasher, IdHasher, MsgId, MsgSet, NodeId, Slot};
 pub use ledger::{AirtimeBreakdown, AirtimeByKind, AirtimeLedger};

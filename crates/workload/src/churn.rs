@@ -22,7 +22,7 @@
 use crate::traffic::Arrival;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rmm_sim::{NodeId, Slot, SpecError};
+use rmm_sim::{spec_entries, spec_slot, NodeId, Slot, SpecEntry, SpecError};
 use rmm_stats::{MessageMetric, RunMetrics};
 use serde::{Deserialize, Serialize};
 
@@ -291,48 +291,13 @@ impl ChurnPlan {
     /// `join:node@slot`. Errors carry the byte span of the offending
     /// token, like [`rmm_sim::FaultPlan::parse`].
     pub fn parse(spec: &str) -> Result<Self, SpecError> {
+        const KINDS: [(&str, ChurnKind); 2] =
+            [("leave", ChurnKind::Leave), ("join", ChurnKind::Join)];
         let mut plan = ChurnPlan::new();
-        for raw in spec.split(';') {
-            let entry = raw.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (kind_s, rest) = entry.split_once(':').ok_or_else(|| {
-                SpecError::at(
-                    spec,
-                    entry,
-                    format!("churn entry `{entry}` missing `kind:`"),
-                )
-            })?;
-            let kind = match kind_s {
-                "leave" => ChurnKind::Leave,
-                "join" => ChurnKind::Join,
-                other => {
-                    return Err(SpecError::at(
-                        spec,
-                        kind_s,
-                        format!("unknown churn kind `{other}` (expected leave or join)"),
-                    ))
-                }
-            };
-            let (node_s, at_s) = rest.split_once('@').ok_or_else(|| {
-                SpecError::at(
-                    spec,
-                    entry,
-                    format!("churn entry `{entry}` missing `@slot`"),
-                )
-            })?;
-            let node: u32 = node_s
-                .parse()
-                .map_err(|_| SpecError::at(spec, node_s, format!("bad node id `{node_s}`")))?;
-            let at: Slot = at_s
-                .parse()
-                .map_err(|_| SpecError::at(spec, at_s, format!("bad slot `{at_s}`")))?;
-            plan.events.push(ChurnEvent {
-                node: NodeId(node),
-                kind,
-                at,
-            });
+        for entry in spec_entries(spec, "churn", &KINDS) {
+            let SpecEntry { kind, node, when } = entry?;
+            let at = spec_slot(spec, when)?;
+            plan.events.push(ChurnEvent { node, kind, at });
         }
         Ok(plan)
     }

@@ -167,6 +167,9 @@ impl Scenario {
                 return Err(format!("burst p {p} and r {r} must both be in [0, 1]"));
             }
         }
+        if self.stall_window == Some(0) {
+            return Err("stall_window needs at least 1 slot".into());
+        }
         self.faults
             .validate(self.n_nodes)
             .map_err(|e| format!("invalid fault plan: {e}"))?;
@@ -329,6 +332,22 @@ mod tests {
         assert!(r.utilization.is_nan());
         let json = serde_json::to_string(&r).unwrap();
         assert!(serde_json::from_str::<crate::RunResult>(&json).is_err());
+    }
+
+    #[test]
+    fn validate_refuses_a_watchdog_window_of_no_slots() {
+        let watched = Scenario {
+            n_nodes: 5,
+            sim_slots: 10,
+            n_runs: 1,
+            ..Scenario::default()
+        };
+        assert_eq!(watched.clone().with_stall_window(1).validate(), Ok(()));
+        let err = watched
+            .with_stall_window(0)
+            .validate()
+            .expect_err("the watchdog checks every `t % window` slot");
+        assert!(err.contains("stall_window"), "{err}");
     }
 
     #[test]

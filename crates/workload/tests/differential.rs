@@ -113,6 +113,38 @@ fn fast_stepping_is_bit_exact_for_all_protocols() {
     assert!(traffic_seen, "suite exercised no traffic at all");
 }
 
+/// A service timeout near `u64::MAX` must not wrap `arrival + timeout`
+/// into a deadline in the past: the run equals the run with a timeout far
+/// past its end, in every field but the scenario it echoes, under both
+/// steppings.
+#[test]
+fn an_unbounded_timeout_runs_as_a_long_one() {
+    let with_timeout = |timeout| {
+        let mut s = Scenario {
+            n_nodes: 30,
+            sim_slots: 3_000,
+            n_runs: 1,
+            msg_rate: 2e-3,
+            ..Scenario::default()
+        };
+        s.timing.timeout = timeout;
+        s
+    };
+    let (long, unbounded) = (with_timeout(1_000_000_000), with_timeout(u64::MAX));
+    for protocol in [ProtocolKind::Bmmm, ProtocolKind::Bmw] {
+        for seed in [3, 8] {
+            let want = assert_matrix(&long, protocol, seed, "timeout 1e9").result;
+            assert!(
+                want.utilization > 0.0,
+                "{protocol:?} seed {seed}: no traffic"
+            );
+            let mut got = assert_matrix(&unbounded, protocol, seed, "timeout u64::MAX").result;
+            got.manifest.scenario = want.manifest.scenario.clone();
+            assert_eq!(canonical(want), canonical(got), "{protocol:?} seed {seed}");
+        }
+    }
+}
+
 /// Every other input has at most 60 stations, so each dispatcher
 /// bitset is a single word and a word-index slip would pass them all. A
 /// sparse 1 000-station network at `scale_10k`'s density and load spans
