@@ -15,9 +15,14 @@
 //! `submit` blocks its caller — a connection handler that consequently
 //! stops reading its socket — which is exactly the TCP backpressure a
 //! saturated daemon should exert instead of buffering without limit.
+//!
+//! A job that panics is caught and counted ([`ServicePool::panicked`]);
+//! its worker carries on with the next job, so one bad job can neither
+//! shrink the pool nor hold `shutdown` waiting for a worker that died.
 
 use crate::cores::{cores, enter_pool};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -76,6 +81,8 @@ struct Inner {
     executed: AtomicU64,
     /// Jobs dropped from the queue because their ticket was cancelled.
     cancelled: AtomicU64,
+    /// Executed jobs that panicked.
+    panicked: AtomicU64,
 }
 
 /// A pool of resident worker threads fed from a bounded FIFO queue.
@@ -112,6 +119,7 @@ impl ServicePool {
             capacity: capacity.max(1),
             executed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
+            panicked: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -144,6 +152,12 @@ impl ServicePool {
         self.inner.cancelled.load(Ordering::Relaxed)
     }
 
+    /// Executed jobs that panicked (each also counts in
+    /// [`ServicePool::executed`]).
+    pub fn panicked(&self) -> u64 {
+        self.inner.panicked.load(Ordering::Relaxed)
+    }
+
     /// Jobs waiting in the queue right now (racy, for telemetry).
     pub fn queued(&self) -> usize {
         self.inner
@@ -174,8 +188,7 @@ impl ServicePool {
         }
         if !state.open {
             drop(state);
-            self.inner.executed.fetch_add(1, Ordering::Relaxed);
-            f();
+            execute(&self.inner, f);
             return ticket;
         }
         state.jobs.push_back((flag, Box::new(f)));
@@ -250,17 +263,24 @@ fn worker_loop(inner: &Inner) {
             }
         };
         let Some(job) = job else { return };
-        // Count before running: anything the job publishes (response
-        // lines, cache entries) must never be observable ahead of the
-        // executed counter, or a metrics scrape racing the final line
-        // under-reports the work.
-        inner.executed.fetch_add(1, Ordering::Relaxed);
-        job();
+        execute(inner, job);
         let mut state = inner.state.lock().expect("pool state poisoned");
         state.active -= 1;
         if state.jobs.is_empty() && state.active == 0 {
             inner.drained.notify_all();
         }
+    }
+}
+
+/// Runs one job, catching a panic so that the caller goes on.
+fn execute(inner: &Inner, job: impl FnOnce()) {
+    // Count before running: anything the job publishes (response lines,
+    // cache entries) must never be observable ahead of the executed
+    // counter, or a metrics scrape racing the final line under-reports
+    // the work.
+    inner.executed.fetch_add(1, Ordering::Relaxed);
+    if catch_unwind(AssertUnwindSafe(job)).is_err() {
+        inner.panicked.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -379,6 +399,28 @@ mod tests {
         pool.wait_idle();
         assert_eq!(hits.load(Ordering::Relaxed), 10);
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_gives_its_worker_back() {
+        // A worker that died with its job would leave the next job
+        // queued and `shutdown` waiting forever, so the pool runs on a
+        // thread of its own and a wedge fails by timeout.
+        let (done_tx, done_rx) = mpsc::channel();
+        let test = std::thread::spawn(move || {
+            let pool = ServicePool::new(1);
+            pool.submit(|| panic!("a job panics on purpose"));
+            let (ran_tx, ran_rx) = mpsc::channel();
+            pool.submit(move || ran_tx.send(()).unwrap());
+            ran_rx.recv().unwrap();
+            pool.shutdown();
+            done_tx.send((pool.executed(), pool.panicked())).unwrap();
+        });
+        let counts = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a panicking job wedged the pool");
+        test.join().expect("the pool thread exits");
+        assert_eq!(counts, (2, 1), "(executed, panicked)");
     }
 
     #[test]

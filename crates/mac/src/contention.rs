@@ -50,15 +50,6 @@ impl Contention {
         self.idle_run
     }
 
-    /// Applies the effect of one (or more) busy slots without polling:
-    /// the DIFS idle run restarts, the backoff counter survives. Used by
-    /// the event-horizon fast path to replay a NAV-busy gap in O(1).
-    pub fn freeze(&mut self) {
-        if self.active {
-            self.idle_run = 0;
-        }
-    }
-
     /// Replays `slots` consecutive idle polls in one call — the engine
     /// fast-forwarded over them, having proven the medium idle. The gap
     /// must end strictly before the access grant: the engine never
@@ -257,22 +248,6 @@ mod tests {
             assert_eq!(a.idle_run(), b.idle_run());
             assert_eq!(a.is_active(), b.is_active());
         }
-    }
-
-    #[test]
-    fn freeze_matches_busy_poll() {
-        let mut r = rng();
-        let mut a = Contention::idle();
-        a.begin(7, &mut r);
-        for _ in 0..3 {
-            a.poll(false, 4);
-        }
-        let mut b = a.clone();
-        a.freeze();
-        assert!(!b.poll(true, 4));
-        assert_eq!(a.backoff(), b.backoff());
-        assert_eq!(a.idle_run(), b.idle_run());
-        assert_eq!(a.idle_run(), 0);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub struct NodeCore {
     pub protocol: ProtocolKind,
     /// MAC timing parameters.
     pub timing: MacTiming,
-    neighbors: Vec<NodeId>,
     positions: Arc<Vec<Point>>,
     radius: f64,
     /// Station-local randomness (backoff draws).
@@ -70,11 +69,6 @@ impl NodeCore {
     /// Shared transmission radius.
     pub fn radius(&self) -> f64 {
         self.radius
-    }
-
-    /// This station's neighbors.
-    pub fn neighbors(&self) -> &[NodeId] {
-        &self.neighbors
     }
 
     /// Data messages this station has decoded.
@@ -147,8 +141,9 @@ enum DriveMode {
 }
 
 impl MacNode {
-    /// Builds a station. `topo` provides neighbors and positions; `seed`
-    /// derives the station's private RNG stream.
+    /// Builds a station. `topo` provides the transmission radius,
+    /// `positions` the advertised position table; `seed` derives the
+    /// station's private RNG stream.
     pub fn new(
         id: NodeId,
         protocol: ProtocolKind,
@@ -162,7 +157,6 @@ impl MacNode {
                 id,
                 protocol,
                 timing,
-                neighbors: topo.neighbors(id).to_vec(),
                 positions,
                 radius: topo.radius(),
                 rng: SmallRng::seed_from_u64(seed ^ (u64::from(id.0) << 32) ^ 0x9e37_79b9),
@@ -245,12 +239,12 @@ impl MacNode {
             .map(|a| (a.req.msg, a.req.arrival, a.started))
     }
 
-    /// Beacon refresh: adopts the current neighbor table and advertised
-    /// position map, as a round of beacon exchanges would. Called by the
-    /// mobile runner every beacon period; in-flight exchanges keep their
-    /// already-resolved receiver lists (stale, as in reality).
-    pub fn refresh_neighbors(&mut self, topo: &Topology, advertised: Arc<Vec<Point>>) {
-        self.core.neighbors = topo.neighbors(self.core.id).to_vec();
+    /// Beacon refresh: adopts the advertised position map a round of
+    /// beacon exchanges would carry. Called by the mobile runner every
+    /// beacon period; in-flight exchanges keep their already-resolved
+    /// receiver lists (stale, as in reality). Receivers of later
+    /// requests come from the runner's beacon view of the topology.
+    pub fn refresh_positions(&mut self, advertised: Arc<Vec<Point>>) {
         self.core.positions = advertised;
     }
 
@@ -653,18 +647,15 @@ impl MacNode {
     /// The engine skips a slot for this station only when nothing
     /// observable happened in it: no frame was delivered, no
     /// wait-for-data deadline or service timeout fell due, an idle
-    /// station with queued work was never left waiting, and the medium
-    /// was busy only while the station was a frozen contender — those
-    /// slots arrive as `busy_through` (the engine's
-    /// [`rmm_sim::Ctx::frozen_through`] watermark). The only per-slot
-    /// state that evolved is the contention countdown: frozen while the
-    /// medium was busy (which covers the station's own transmissions)
-    /// or the NAV still had a reservation, idle polls afterwards. Both
-    /// freeze prefixes are contiguous from the gap's start — the engine
-    /// dispatches at the first busy slot after any skipped idle slot —
-    /// so the gap replays as one freeze followed by pure idle polls,
-    /// exactly as naive stepping would have applied them.
-    fn catch_up(&mut self, now: Slot, busy_through: Slot) {
+    /// station with queued work was never left waiting, and a contender
+    /// saw an idle medium (a busy one always dispatches it). The only
+    /// per-slot state that evolved is the contention countdown: frozen
+    /// while the NAV still had a reservation, idle polls afterwards. A
+    /// reservation is booked on reception, before that slot's poll, so
+    /// a NAV still yielding when the gap starts already froze the
+    /// countdown at the last poll, and the gap replays as its idle polls
+    /// alone, exactly as naive stepping would have applied them.
+    fn catch_up(&mut self, now: Slot) {
         let start = self.next_poll;
         if start >= now {
             return;
@@ -675,26 +666,18 @@ impl MacNode {
         if !a.contending {
             return;
         }
+        let clear = self.core.nav.next_idle(start).min(now);
         debug_assert!(
-            busy_through == 0 || busy_through >= start,
-            "frozen watermark predates the gap"
+            clear == start || a.contention.idle_run() == 0,
+            "the NAV yields into the gap after an unfrozen poll"
         );
-        let medium = if busy_through >= start {
-            busy_through + 1
-        } else {
-            start
-        };
-        let clear = self.core.nav.next_idle(start).max(medium).min(now);
-        if clear > start {
-            a.contention.freeze();
-        }
         a.contention
             .advance_idle(now - clear, self.core.timing.difs);
     }
 
     fn slot(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now;
-        self.catch_up(now, ctx.frozen_through);
+        self.catch_up(now);
         self.next_poll = now + 1;
         self.flush_wait_data(ctx);
 
@@ -749,7 +732,7 @@ impl Station for MacNode {
         // can change contention state that the skipped idle slots
         // already advanced.
         if self.next_poll < ctx.now {
-            self.catch_up(ctx.now, ctx.frozen_through);
+            self.catch_up(ctx.now);
             self.next_poll = ctx.now;
         }
         self.handle_receive(frame, ctx);
@@ -767,32 +750,6 @@ impl Station for MacNode {
     /// slots where only the medium changed.
     fn carrier_sensitive(&self) -> bool {
         self.active.as_ref().is_some_and(|a| a.contending)
-    }
-
-    /// A busy medium can only freeze a contention countdown — it never
-    /// changes any other per-slot decision in [`MacNode::slot`] — so the
-    /// engine may skip busy slots entirely and let
-    /// [`MacNode::catch_up`] replay the freeze from the engine's
-    /// watermark.
-    fn busy_freezes(&self) -> bool {
-        self.active.as_ref().is_some_and(|a| a.contending)
-    }
-
-    /// Deadlines that fire regardless of the medium: receiver-side
-    /// WAIT_FOR_DATA expiries and the in-service request's timeout.
-    /// These bound how far the engine may skip a frozen contender.
-    fn next_deadline(&self) -> Option<Slot> {
-        let mut due: Option<Slot> = None;
-        let mut consider = |slot: Slot| {
-            due = Some(due.map_or(slot, |d: Slot| d.min(slot)));
-        };
-        for w in &self.core.wait_data {
-            consider(w.deadline);
-        }
-        if let Some(a) = &self.active {
-            consider(a.req.arrival.saturating_add(self.core.timing.timeout));
-        }
-        due
     }
 
     /// Crash-recovery cold reset ([`rmm_sim::FaultKind::Reboot`]): the

@@ -40,6 +40,7 @@ use rmm_stats::{render_registry, MetricsRegistry};
 use rmm_workload::scenario_schema_hash;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -133,6 +134,7 @@ impl Shared {
         reg.add("serve_cache_entries", self.cache.len() as u64);
         reg.add("serve_engine_runs_total", self.pool.executed());
         reg.add("serve_jobs_cancelled_total", self.pool.cancelled());
+        reg.add("serve_job_panics_total", self.pool.panicked());
         reg.add(
             "serve_conns_accepted_total",
             self.conns_accepted.load(Ordering::Relaxed),
@@ -414,12 +416,39 @@ fn serve_run(req: RunRequest, shared: &Arc<Shared>, out_tx: &Outbox) -> Option<J
     let job_shared = Arc::clone(shared);
     let out_tx = out_tx.clone();
     Some(shared.pool.submit(move || {
-        let cell = compute_cell(&req.scenario, protocol, req.seed, req.trace, req.profile);
-        let rendered = Rendered::render(&cell);
-        drop(cell);
-        let rendered = job_shared.cache.put_rendered(&key, req.seed, rendered);
-        let _ = out_tx.send(rendered.write(id, false));
+        answer(&job_shared, &out_tx, id, || {
+            let cell = compute_cell(&req.scenario, protocol, req.seed, req.trace, req.profile);
+            let rendered = Rendered::render(&cell);
+            drop(cell);
+            let rendered = job_shared.cache.put_rendered(&key, req.seed, rendered);
+            rendered.write(id, false)
+        });
     }))
+}
+
+/// Queues what `work` renders for request `id`, or one `Error` naming
+/// the panic if `work` panics. The panic then goes on into the pool,
+/// which counts it and keeps the worker.
+fn answer(shared: &Shared, out_tx: &Outbox, id: u64, work: impl FnOnce() -> Vec<u8>) {
+    match catch_unwind(AssertUnwindSafe(work)) {
+        Ok(lines) => {
+            let _ = out_tx.send(lines);
+        }
+        Err(panic) => {
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            send_error(
+                shared,
+                out_tx,
+                Some(id),
+                format!("the run panicked: {what}"),
+            );
+            resume_unwind(panic);
+        }
+    }
 }
 
 /// Writes every response of one connection. A dead socket drains the
@@ -440,5 +469,42 @@ fn writer_loop(stream: TcpStream, out_rx: mpsc::Receiver<Vec<u8>>) {
             broken = out.write_all(&response).is_err();
         }
         broken = broken || out.flush().is_err();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_run_answers_one_error_and_is_counted() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("server starts");
+        let (out_tx, out_rx) = mpsc::channel();
+        let shared = Arc::clone(&server.shared);
+        server.shared.pool.submit(move || {
+            answer(&shared, &out_tx, 7, || panic!("a run panics on purpose"));
+        });
+        let line = out_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the request got an answer");
+        assert_eq!(
+            String::from_utf8(line).unwrap(),
+            "{\"Error\":{\"id\":7,\"message\":\"the run panicked: a run panics on purpose\"}}\n"
+        );
+        assert!(out_rx.recv().is_err(), "one line, then the job is gone");
+        server.shared.pool.wait_idle();
+        let metrics = server.metrics_text();
+        for counted in ["rmm_serve_job_panics_total 1", "rmm_serve_errors_total 1"] {
+            assert!(
+                metrics.lines().any(|l| l == counted),
+                "{counted}:\n{metrics}"
+            );
+        }
+        server.begin_shutdown();
+        server.join();
     }
 }

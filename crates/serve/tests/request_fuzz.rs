@@ -44,7 +44,7 @@ fn line_of(req: RunRequest) -> Vec<u8> {
 
 /// How many inputs [`out_of_range`] has; the generator and the coverage
 /// check both walk `0..OUT_OF_RANGE_INPUTS`.
-const OUT_OF_RANGE_INPUTS: usize = 16;
+const OUT_OF_RANGE_INPUTS: usize = 18;
 
 /// Requests whose scenario (or protocol) the server must refuse: built
 /// through the types where they allow it, edited in the JSON where the
@@ -87,6 +87,17 @@ fn out_of_range(k: usize) -> Vec<u8> {
         12 => edit("\"radius\":0.2", "\"radius\":\"wide\""),
         13 => edit("\"seed\":3", "\"seed\":18446744073709551616"),
         14 => with(tiny().with_stall_window(0)),
+        // Airtimes whose first frame would size the channel's end-slot
+        // ring at about 206 GB: refused, never run.
+        15 | 16 => {
+            let mut s = tiny();
+            if k == 15 {
+                s.timing.data_slots = u32::MAX;
+            } else {
+                s.timing.control_slots = u32::MAX;
+            }
+            with(s)
+        }
         _ => edit("\"msg_rate\":0.0005", "\"msg_rate\":null"),
     }
 }

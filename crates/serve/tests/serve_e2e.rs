@@ -281,6 +281,38 @@ fn invalid_fault_plan_is_rejected_before_the_engine() {
     drain(server, &addr);
 }
 
+/// The run request EXPERIMENTS.md shows, sent as written, gets the
+/// lines the serial oracle renders for it, ending in a `Result`.
+#[test]
+fn the_documented_run_request_gets_a_result() {
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let section = &doc[doc.find("## Serving the simulator").expect("serve section")..];
+    let line = section
+        .lines()
+        .find(|l| l.starts_with("{\"Run\""))
+        .expect("a documented run request");
+    let Ok(Request::Run(req)) = serde_json::from_str::<Request>(line) else {
+        panic!("the documented request does not parse: {line}");
+    };
+    let want = local_lines(&req).expect("oracle");
+    assert!(want.last().unwrap().starts_with("{\"Result\""));
+    let (server, addr) = start(ServeConfig::default());
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    writeln!(stream, "{line}").unwrap();
+    let mut reader = BufReader::new(stream);
+    let got: Vec<String> = want
+        .iter()
+        .map(|_| {
+            let mut got = String::new();
+            reader.read_line(&mut got).unwrap();
+            got.trim_end_matches('\n').to_string()
+        })
+        .collect();
+    assert_eq!(got, want);
+    drop(reader);
+    drain(server, &addr);
+}
+
 #[test]
 fn a_run_of_no_slots_gets_one_error_and_no_cache_entry() {
     // Such a run's utilization is NaN, written as `null`: its `Result`

@@ -17,31 +17,25 @@
 //!
 //! The per-station state the engine consults every slot lives in
 //! contiguous struct-of-arrays form: reception/fault/sensitivity flags
-//! are word-packed bitsets, wakeup hints and deadlines are flat `Slot`
-//! arrays, and carrier sense is an O(1) watermark compare served by the
-//! channel. On the event-horizon path ([`Engine::advance_to`]) these
-//! arrays form a dispatch filter: a station's `on_slot` runs only when
-//! it received a frame, its busy medium can change it (carrier-sensitive
-//! and not a pure freeze), or its own hinted wakeup or deadline slot
-//! arrived — the same slots at which naive stepping can observably
-//! affect it, so the run stays bit-exact. Stations whose only response
-//! to a busy medium is freezing a contention countdown
-//! ([`Station::busy_freezes`]) are skipped through busy bursts entirely;
-//! the engine records the skipped busy prefix in
-//! [`Ctx::frozen_through`] so the station replays the freeze exactly at
-//! its next dispatch.
+//! are word-packed bitsets, wakeup hints are a flat `Slot` array, and
+//! carrier sense is an O(1) watermark compare served by the channel. On
+//! the event-horizon path ([`Engine::advance_to`]) these arrays form a
+//! dispatch filter with one rule: a station that received nothing is
+//! skipped while its hinted wakeup lies in the future and its medium is
+//! idle or it is not carrier-sensitive. Those are exactly the slots in
+//! which naive stepping cannot observably change it, so the run stays
+//! bit-exact, and a carrier-sensitive station replays its skipped gap
+//! as idle polls at its next dispatch.
 //!
-//! The filter never visits a station it would skip without bookkeeping,
-//! so a stepped slot costs O(N/64 + active) rather than O(N). Hinted
-//! wakeups wait in a min-heap of `(slot, station)` entries; at the top
-//! of each stepped slot the entries that fell due move into a
-//! word-packed `due` set, and the dispatcher walks only the set bits of
-//! `received | due | sensitive`, in ascending station order, so the
-//! outbox, launch order, RNG draws and trace order match naive stepping.
-//! A station outside that union has a future wakeup and is not
-//! carrier-sensitive, the one case the filter skips without touching
-//! its state. The fast-forward horizon is the heap's earliest live
-//! entry.
+//! Most skipped stations are never visited, so a stepped slot costs
+//! O(N/64 + active) rather than O(N). Hinted wakeups wait in a min-heap
+//! of `(slot, station)` entries; at the top of each stepped slot the
+//! entries that fell due move into a word-packed `due` set, and the
+//! dispatcher walks only the set bits of `received | due | sensitive`,
+//! in ascending station order, so the outbox, launch order, RNG draws
+//! and trace order match naive stepping. A station outside that union
+//! has a future wakeup and is not carrier-sensitive, so the rule skips
+//! it. The fast-forward horizon is the heap's earliest live entry.
 
 use crate::capture::Capture;
 use crate::channel::{Channel, SlotOutcome};
@@ -85,15 +79,6 @@ pub struct Ctx<'a> {
     /// Carrier sense: was the medium busy at this station during the
     /// previous slot?
     pub busy: bool,
-    /// Frozen-skip watermark (see [`Station::busy_freezes`]): the engine
-    /// skipped this station's `on_slot` for every slot of its current
-    /// catch-up gap up to and including `frozen_through` while the
-    /// station's medium was busy; `0` means no frozen slots are pending.
-    /// The skipped busy slots always form a contiguous prefix of the gap
-    /// (the dispatcher never skips a busy slot that follows a skipped
-    /// idle slot), so a gap replays as one freeze followed by idle
-    /// polls.
-    pub frozen_through: Slot,
     out: &'a mut Vec<Frame>,
     trace: Option<&'a mut Trace>,
 }
@@ -161,30 +146,6 @@ pub trait Station {
         true
     }
 
-    /// Whether a busy medium merely *freezes* this station instead of
-    /// changing it: while `true` (and the station is carrier-sensitive),
-    /// the event-horizon dispatcher may skip the station's `on_slot` on
-    /// slots whose only stimulus is a busy medium, recording them in
-    /// [`Ctx::frozen_through`] for the station to replay at its next
-    /// dispatch. Stations returning `true` must reconstruct the skipped
-    /// busy slots from that watermark exactly as if they had been
-    /// stepped through them (a frozen contention countdown is the
-    /// canonical case), and must report medium-independent deadlines via
-    /// [`Station::next_deadline`]. Default `false`: busy slots always
-    /// dispatch, which is always bit-exact.
-    fn busy_freezes(&self) -> bool {
-        false
-    }
-
-    /// The earliest absolute slot at which this station must run even if
-    /// its medium is busy — service timeouts and receiver-side deadlines
-    /// that fire regardless of carrier state. Only consulted while the
-    /// station opts into [`Station::busy_freezes`]; a frozen skip never
-    /// crosses this slot. `None` (the default) means no such deadline.
-    fn next_deadline(&self) -> Option<Slot> {
-        None
-    }
-
     /// The station's platform rebooted: a [`crate::FaultKind::Reboot`]
     /// blackout window just ended. The engine calls this at the top of
     /// the recovery slot, before any reception or `on_slot` in it, so
@@ -203,8 +164,9 @@ enum Dispatch {
     /// Every station, refreshing the hint/sensitivity arrays afterwards —
     /// re-seeds the event-horizon state after it was invalidated.
     FullRefresh,
-    /// Only stations that received a frame, sensed a newly busy medium,
-    /// or whose hinted wakeup slot arrived; hints refreshed as they run.
+    /// Only stations that received a frame, sense a busy medium while
+    /// carrier-sensitive, or whose hinted wakeup slot arrived; hints
+    /// refreshed as they run.
     Selective,
 }
 
@@ -221,24 +183,6 @@ pub struct Engine {
     /// Stations whose `on_slot` currently reacts to a busy medium
     /// (word-packed; refreshed with the wakeup hints).
     sensitive: Vec<u64>,
-    /// Stations for which a busy medium is a pure freeze
-    /// ([`Station::busy_freezes`]; word-packed, refreshed with the
-    /// wakeup hints).
-    freezable: Vec<u64>,
-    /// Stations that were skipped on an idle-medium slot since their
-    /// last dispatch (word-packed). A busy slot after such a skip must
-    /// dispatch — the station's backoff may have counted down during
-    /// the idle run — which keeps every gap's skipped busy slots a
-    /// contiguous prefix.
-    gap_idle: Vec<u64>,
-    /// Per-station frozen-skip watermark handed to [`Ctx`]: the last
-    /// busy slot skipped for the station since its last dispatch (`0` =
-    /// none). Reset whenever the station runs.
-    frozen_through: Vec<Slot>,
-    /// Per-station medium-independent deadline
-    /// ([`Station::next_deadline`], clamped to the future), refreshed
-    /// with the wakeup hints. A frozen skip never crosses it.
-    deadline_at: Vec<Slot>,
     /// Per-station next-wakeup hint, in absolute slots (`Slot::MAX` =
     /// nothing self-scheduled). Entry `i` was computed by
     /// `stations[i].next_wakeup` at the last slot the station ran, and
@@ -255,8 +199,8 @@ pub struct Engine {
     /// Stations whose `wake_at` slot has arrived but that have not run
     /// since (word-packed): filled from `wakeups` at the top of each
     /// selective slot, set directly by [`Engine::wake`] and a reboot,
-    /// and cleared when the station runs. A bit can outlive its slot
-    /// only for a frozen contender skipped through a busy medium.
+    /// and cleared when the station runs, which a due station always
+    /// does in the slot it fell due.
     due: Vec<u64>,
     /// Scratch: per-station fault masks for the current slot
     /// (word-packed rx-blocked / tx-blocked bits).
@@ -302,10 +246,6 @@ impl Engine {
             outbox: Vec::new(),
             received: vec![0; n_words],
             sensitive: vec![0; n_words],
-            freezable: vec![0; n_words],
-            gap_idle: vec![0; n_words],
-            frozen_through: vec![0; n],
-            deadline_at: vec![Slot::MAX; n],
             wake_at: vec![0; n],
             wakeups: BinaryHeap::new(),
             due: vec![0; n_words],
@@ -478,11 +418,6 @@ impl Engine {
     pub fn wake(&mut self, node: NodeId) {
         self.wake_at[node.index()] = self.now;
         set_bit(&mut self.due, node.index());
-        // The perturbation may have changed the station arbitrarily: a
-        // stale frozen-contender flag must not keep its next `on_slot`
-        // suppressed while its medium is busy. Dispatching refreshes
-        // the flag from the station itself.
-        assign_bit(&mut self.freezable, node.index(), false);
     }
 
     /// The radio channel (for inspection in tests and stats).
@@ -515,9 +450,6 @@ impl Engine {
                 self.wake_at[i] = now;
                 set_bit(&mut self.due, i);
                 assign_bit(&mut self.sensitive, i, stations[i].carrier_sensitive());
-                assign_bit(&mut self.freezable, i, stations[i].busy_freezes());
-                assign_bit(&mut self.gap_idle, i, false);
-                self.frozen_through[i] = 0;
             }
         }
 
@@ -571,7 +503,6 @@ impl Engine {
                 now,
                 node,
                 busy: self.channel.busy_prev_slot(node, now, &self.topo),
-                frozen_through: self.frozen_through[node.index()],
                 out: &mut self.outbox,
                 trace: self.trace.as_mut(),
             };
@@ -582,8 +513,7 @@ impl Engine {
         // Phase 2: per-slot decisions. The selective mode runs exactly
         // the stations naive stepping could observably have changed this
         // slot: a delivered frame, a busy medium at a carrier-sensitive
-        // station (unless busy is a pure freeze for it and no deadline
-        // fell due), or the station's own hinted wakeup. Only stations in
+        // station, or the station's own hinted wakeup. Only stations in
         // `received | due | sensitive` can be any of these; the rest are
         // never visited.
         match dispatch {
@@ -619,35 +549,18 @@ impl Engine {
                 let i = w * 64 + b;
                 let node = NodeId(i as u32);
                 let busy = self.channel.busy_prev_slot(node, now, &self.topo);
-                if dispatch == Dispatch::Selective && received & (1 << b) == 0 {
-                    let skip = if bit(&self.sensitive, i) && busy {
-                        // A frozen contender sleeps through busy slots —
-                        // but never through a deadline, and never after
-                        // an idle-medium skip in the same gap (its
-                        // backoff may have counted down there, and a
-                        // naive step would bank that idle run before
-                        // freezing).
-                        bit(&self.freezable, i)
-                            && !bit(&self.gap_idle, i)
-                            && self.deadline_at[i] > now
-                    } else {
-                        self.wake_at[i] > now
-                    };
-                    if skip {
-                        if bit(&self.sensitive, i) && busy {
-                            self.frozen_through[i] = now;
-                        } else if bit(&self.sensitive, i) && bit(&self.freezable, i) {
-                            set_bit(&mut self.gap_idle, i);
-                        }
-                        continue;
-                    }
+                if dispatch == Dispatch::Selective
+                    && received & (1 << b) == 0
+                    && self.wake_at[i] > now
+                    && !(busy && bit(&self.sensitive, i))
+                {
+                    continue;
                 }
                 let station = &mut stations[i];
                 let mut ctx = Ctx {
                     now,
                     node,
                     busy,
-                    frozen_through: self.frozen_through[i],
                     out: &mut self.outbox,
                     trace: self.trace.as_mut(),
                 };
@@ -666,14 +579,8 @@ impl Engine {
                     }
                     self.wake_at[i] = wake;
                     assign_bit(&mut self.due, i, false);
-                    self.deadline_at[i] = station
-                        .next_deadline()
-                        .map_or(Slot::MAX, |d| d.max(now + 1));
                     assign_bit(&mut self.sensitive, i, station.carrier_sensitive());
-                    assign_bit(&mut self.freezable, i, station.busy_freezes());
                 }
-                self.frozen_through[i] = 0;
-                assign_bit(&mut self.gap_idle, i, false);
             }
         }
         self.lap(&mut mark, Phase::FsmDispatch);
@@ -747,11 +654,10 @@ impl Engine {
             }
             // The hints are exact (each was computed the last time its
             // station ran, and skipped slots cannot change a station), so
-            // the horizon is the earliest of them: now if a due station
-            // is still waiting, else the heap's earliest live entry.
-            if self.due.iter().any(|&w| w != 0) {
-                horizon = self.now;
-            }
+            // the horizon is the earliest of them: the heap's earliest
+            // live entry. No due station is left waiting, since the rule
+            // never skips one.
+            debug_assert!(self.due.iter().all(|&w| w == 0));
             while let Some(&Reverse((slot, i))) = self.wakeups.peek() {
                 if self.wake_at[i as usize] == slot {
                     horizon = horizon.min(slot);

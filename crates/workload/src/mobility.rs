@@ -25,8 +25,9 @@ pub struct MobilityConfig {
     pub speed_max: f64,
     /// Slots between ground-truth topology updates (simulation epochs).
     pub update_period: u64,
-    /// Slots between beacon exchanges — how often stations refresh their
-    /// neighbor tables and advertised positions. Staleness is
+    /// Slots between beacon exchanges — how often the beacon view that
+    /// requests are addressed from and the advertised positions stations
+    /// read are refreshed. Staleness is
     /// `beacon_period − update_period` in the worst case.
     pub beacon_period: u64,
 }

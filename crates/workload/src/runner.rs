@@ -288,11 +288,11 @@ struct Mobile {
 /// says: fast or naive stepping, the probes to attach, and static or
 /// mobile stations.
 ///
-/// Under mobility, ground truth moves every `update_period` slots;
-/// stations refresh their neighbor tables and advertised positions only
-/// every `beacon_period` slots, so they act on *stale* beacon state in
-/// between — the realistic failure mode for neighbor-list-based
-/// multicast.
+/// Under mobility, ground truth moves every `update_period` slots; the
+/// beacon view that requests are addressed from, and the advertised
+/// positions stations read, refresh only every `beacon_period` slots, so
+/// stations act on *stale* beacon state in between — the realistic
+/// failure mode for neighbor-list-based multicast.
 ///
 /// The slot loop takes each slot's arrivals from one of two feeds, and
 /// both give the same arrivals, so the run is the same either way:
@@ -381,7 +381,7 @@ fn run_in<'scope>(
                 m.beacon = engine.topology().clone();
                 let advertised = advertise(&m.beacon, scenario.position_noise, &mut noise);
                 for (i, node) in nodes.iter_mut().enumerate() {
-                    node.refresh_neighbors(&m.beacon, Arc::clone(&advertised));
+                    node.refresh_positions(Arc::clone(&advertised));
                     // The refresh mutates stations outside the engine:
                     // invalidate their cached wakeup hints.
                     if fast {

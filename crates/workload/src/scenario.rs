@@ -9,6 +9,14 @@ use serde::{Deserialize, Serialize};
 /// Dedicated seed stream for the burst-error channel ("burst").
 const BURST_SEED: u64 = 0x0062_7572_7374;
 
+/// The longest control or data frame [`Scenario::validate`] admits, in
+/// slots. The channel sizes its end-slot ring from the longest frame
+/// launched so far (`2·max_len + 2` buckets) and its airtime ledger
+/// grows to the last occupied slot, so an unbounded airtime is an
+/// unbounded allocation. A thousand 50 µs slots (50 ms) hold the
+/// longest 802.11 frame at its lowest rate.
+const MAX_FRAME_SLOTS: u32 = 1_000;
+
 /// A complete simulation scenario. [`Scenario::default`] is the paper's
 /// Table 2 configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -142,7 +150,8 @@ impl Scenario {
     /// a config file, a flag or a request is reported instead of
     /// panicking mid-run: at least one node and one run, a positive,
     /// finite `radius`, `msg_rate` in [0, 1], `fer` in [0, 1), burst `p`
-    /// and `r` in [0, 1], and fault and churn plans that fit the
+    /// and `r` in [0, 1], control and data airtimes of 1 to
+    /// `MAX_FRAME_SLOTS` slots, and fault and churn plans that fit the
     /// network. It also refuses a run of no slots, whose utilization
     /// (busy slots over slots) would be NaN: JSON writes that as `null`,
     /// and the result would not parse back.
@@ -169,6 +178,17 @@ impl Scenario {
         }
         if self.stall_window == Some(0) {
             return Err("stall_window needs at least 1 slot".into());
+        }
+        let t = &self.timing;
+        for (field, slots) in [
+            ("control_slots", t.control_slots),
+            ("data_slots", t.data_slots),
+        ] {
+            if !(1..=MAX_FRAME_SLOTS).contains(&slots) {
+                return Err(format!(
+                    "{field} {slots} is outside 1..={MAX_FRAME_SLOTS} slots"
+                ));
+            }
         }
         self.faults
             .validate(self.n_nodes)
@@ -332,6 +352,35 @@ mod tests {
         assert!(r.utilization.is_nan());
         let json = serde_json::to_string(&r).unwrap();
         assert!(serde_json::from_str::<crate::RunResult>(&json).is_err());
+    }
+
+    /// Refuses `field` at 0 and one past the cap, and accepts the cap.
+    fn assert_airtime_bounded(field: &str, set: fn(&mut MacTiming, u32)) {
+        let with = |slots| {
+            let mut s = Scenario {
+                n_nodes: 5,
+                sim_slots: 10,
+                n_runs: 1,
+                ..Scenario::default()
+            };
+            set(&mut s.timing, slots);
+            s.validate()
+        };
+        assert_eq!(with(MAX_FRAME_SLOTS), Ok(()));
+        for slots in [0, MAX_FRAME_SLOTS + 1, u32::MAX] {
+            let err = with(slots).expect_err("airtime out of range");
+            assert!(err.starts_with(&format!("{field} {slots} ")), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_bounds_the_control_airtime() {
+        assert_airtime_bounded("control_slots", |t, slots| t.control_slots = slots);
+    }
+
+    #[test]
+    fn validate_bounds_the_data_airtime() {
+        assert_airtime_bounded("data_slots", |t, slots| t.data_slots = slots);
     }
 
     #[test]

@@ -113,6 +113,32 @@ fn fast_stepping_is_bit_exact_for_all_protocols() {
     assert!(traffic_seen, "suite exercised no traffic at all");
 }
 
+/// The `saturated` workload's load at Table 2's density: with a mean
+/// degree near 10 and ten times the paper's rate, many contenders share
+/// one busy medium, so most stepped slots dispatch carrier-sensitive
+/// stations for the busy medium alone. The other inputs stay at the
+/// paper's rate or at a mean degree near 3.
+#[test]
+fn fast_stepping_is_bit_exact_at_saturated_load() {
+    let scenario = Scenario {
+        msg_rate: 5e-3,
+        sim_slots: 1_000,
+        n_runs: 1,
+        ..Scenario::default()
+    };
+    for protocol in [ProtocolKind::Bmmm, ProtocolKind::Lamm, ProtocolKind::Bsma] {
+        for seed in [1, 2] {
+            let result = assert_matrix(&scenario, protocol, seed, "saturated").result;
+            assert!(
+                result.mean_degree > 9.0 && result.utilization > 0.9,
+                "{protocol:?} seed {seed}: degree {} and utilization {} are not saturated",
+                result.mean_degree,
+                result.utilization
+            );
+        }
+    }
+}
+
 /// A service timeout near `u64::MAX` must not wrap `arrival + timeout`
 /// into a deadline in the past: the run equals the run with a timeout far
 /// past its end, in every field but the scenario it echoes, under both
@@ -145,10 +171,10 @@ fn an_unbounded_timeout_runs_as_a_long_one() {
     }
 }
 
-/// Every other input has at most 60 stations, so each dispatcher
-/// bitset is a single word and a word-index slip would pass them all. A
-/// sparse 1 000-station network at `scale_10k`'s density and load spans
-/// 16 words.
+/// Every other input has at most 100 stations, so each dispatcher
+/// bitset spans at most two words and a slip past the second would pass
+/// them all. A sparse 1 000-station network at `scale_10k`'s density and
+/// load spans 16 words.
 #[test]
 fn fast_stepping_is_bit_exact_past_one_bitset_word() {
     let scenario = Scenario {
