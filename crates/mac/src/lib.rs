@@ -53,7 +53,7 @@ pub mod timing;
 pub use contention::{next_cw, Contention};
 pub use nav::Nav;
 pub use node::{MacNode, NodeCore};
-pub use protocols::{BmmmFsm, BmwFsm, BsmaFsm, DcfFsm, Flow, Fsm, PlainFsm, ProtocolKind, TangFsm};
+pub use protocols::ProtocolKind;
 pub use request::{Request, TrafficKind};
 pub use stats::{FrameKindCounts, NodeCounters, Outcome, SentRecord};
 pub use timing::{max_cts_defer_window, MacTiming, PhyTimingUs, FHSS};

@@ -7,6 +7,13 @@
 //! exchange's response window closes or its airtime ends. The node
 //! stores it in `Active::at`, calls [`Fsm::on_slot`] when that slot
 //! arrives, and offers it to the engine as its wakeup hint.
+//!
+//! It also keeps each message's other service facts once: the receipts
+//! the FSM writes through [`Env`] (`acked`, `assumed_covered`,
+//! `gave_up`), which move into the message's [`SentRecord`] when its
+//! service ends, and the count of consecutive failed retries, whose
+//! `timing.retry_limit` ceiling fails the message for every protocol,
+//! DCF included.
 
 use crate::contention::{next_cw, Contention};
 use crate::nav::Nav;
@@ -114,12 +121,15 @@ struct Active {
     /// its airtime ends (the last [`Flow::Await`]); [`Fsm::on_slot`] runs
     /// there. Meaningless while `contending`.
     at: Slot,
-    data_tx: u32,
-    control_tx: u32,
     /// Consecutive failed recontentions (`reset_cw: false`); cleared by
     /// forward progress (`reset_cw: true`). Capped at
-    /// `timing.retry_limit` for every protocol, mirroring DCF.
+    /// `timing.retry_limit` for every protocol, DCF included.
     retries: u32,
+    /// The message's receipts, which the FSM writes through [`Env`] and
+    /// [`MacNode::finish`] moves into its [`SentRecord`].
+    acked: Vec<NodeId>,
+    assumed_covered: Vec<NodeId>,
+    gave_up: Vec<NodeId>,
 }
 
 /// A complete MAC station.
@@ -288,28 +298,35 @@ impl MacNode {
             started: None,
             outcome,
             contention_phases: 0,
-            data_tx: 0,
-            control_tx: 0,
             acked: Vec::new(),
             assumed_covered: Vec::new(),
             gave_up: Vec::new(),
         });
     }
 
+    /// Records the in-service message, moving its receipts into the
+    /// record.
     fn finish(&mut self, active: Active, outcome: Outcome) {
+        let Active {
+            req,
+            started,
+            phases,
+            acked,
+            assumed_covered,
+            gave_up,
+            ..
+        } = active;
         self.core.records.push(SentRecord {
-            msg: active.req.msg,
-            kind: active.req.kind,
-            intended: active.req.receivers.clone(),
-            arrival: active.req.arrival,
-            started: Some(active.started),
+            msg: req.msg,
+            kind: req.kind,
+            intended: req.receivers,
+            arrival: req.arrival,
+            started: Some(started),
             outcome,
-            contention_phases: active.phases,
-            data_tx: active.data_tx,
-            control_tx: active.control_tx,
-            acked: active.fsm.acked().to_vec(),
-            assumed_covered: active.fsm.assumed_covered().to_vec(),
-            gave_up: active.fsm.gave_up().to_vec(),
+            contention_phases: phases,
+            acked,
+            assumed_covered,
+            gave_up,
         });
     }
 
@@ -327,7 +344,6 @@ impl MacNode {
             let cw = self.core.timing.cw_min;
             let mut contention = Contention::idle();
             contention.begin(cw, &mut self.core.rng);
-            self.core.counters.contention_phases += 1;
             let (node, msg, backoff_slots) = (self.core.id, req.msg, contention.backoff());
             ctx.emit(|| TraceEvent::ContentionStart {
                 slot: now,
@@ -345,9 +361,10 @@ impl MacNode {
                 contending: true,
                 fsm,
                 at: 0,
-                data_tx: 0,
-                control_tx: 0,
                 retries: 0,
+                acked: Vec::new(),
+                assumed_covered: Vec::new(),
+                gave_up: Vec::new(),
             });
             return;
         }
@@ -366,16 +383,18 @@ impl MacNode {
             let Active {
                 fsm,
                 req,
-                data_tx,
-                control_tx,
+                acked,
+                assumed_covered,
+                gave_up,
                 ..
             } = &mut active;
             let mut env = Env {
                 core: &mut self.core,
                 ctx,
                 req,
-                data_tx,
-                control_tx,
+                acked,
+                assumed_covered,
+                gave_up,
             };
             f(fsm, &mut env)
         };
@@ -389,10 +408,10 @@ impl MacNode {
                 if reset_cw {
                     active.retries = 0;
                 } else {
-                    // Retry ceiling for every protocol: DCF bounds its
-                    // own retries inside the FSM, but the multicast FSMs
-                    // recontend optimistically; without this cap a dead
-                    // neighborhood would retry forever.
+                    // The one retry ceiling, for every protocol: DCF's
+                    // retry limit, and the bound that keeps the multicast
+                    // FSMs, which recontend optimistically, from retrying
+                    // a dead neighborhood forever.
                     active.retries += 1;
                     if active.retries > self.core.timing.retry_limit {
                         self.finish(active, Outcome::Failed(ctx.now));
@@ -407,7 +426,6 @@ impl MacNode {
                 active.contention.begin(active.cw, &mut self.core.rng);
                 active.contending = true;
                 active.phases += 1;
-                self.core.counters.contention_phases += 1;
                 let (now, node, msg) = (ctx.now, self.core.id, active.req.msg);
                 let (attempts, backoff_slots) = (active.phases, active.contention.backoff());
                 if !reset_cw {
@@ -510,7 +528,6 @@ impl MacNode {
 
     fn handle_receive(&mut self, frame: &Frame, ctx: &mut Ctx<'_>) {
         let now = ctx.now;
-        self.core.counters.frames_received += 1;
         let addressed = frame.dest.addresses(self.core.id);
         match frame.kind {
             // Sender-relevant responses.
@@ -525,7 +542,6 @@ impl MacNode {
                 }
             }
             FrameKind::Data => {
-                self.core.counters.data_received += 1;
                 // Promiscuous caching: any decoded data frame enters the
                 // receive buffer (this is what lets BMW's have-flag
                 // suppress redundant retransmissions).

@@ -46,13 +46,10 @@ pub struct BmmmFsm {
     round: u32,
     phase: Phase,
     cts_any: bool,
-    /// ACKs collected this batch (`S_ACK`).
+    /// ACKs collected this batch (`S_ACK`), folded into the message's
+    /// receipts when the batch ends.
     batch_acked: Vec<NodeId>,
-    /// All explicit ACKs over the message's lifetime.
-    all_acked: Vec<NodeId>,
-    /// Receivers LAMM closed via geometric coverage without an ACK.
-    assumed_covered: Vec<NodeId>,
-    /// Failed rounds per receiver, and the receivers given up on.
+    /// Failed rounds per receiver.
     budget: RetryBudget,
 }
 
@@ -67,25 +64,8 @@ impl BmmmFsm {
             phase: Phase::AwaitCts { i: 0 },
             cts_any: false,
             batch_acked: Vec::new(),
-            all_acked: Vec::new(),
-            assumed_covered: Vec::new(),
             budget: RetryBudget::default(),
         }
-    }
-
-    /// Receivers that explicitly ACKed so far.
-    pub fn acked(&self) -> &[NodeId] {
-        &self.all_acked
-    }
-
-    /// Receivers abandoned after exhausting their retry budget.
-    pub fn gave_up(&self) -> &[NodeId] {
-        self.budget.gave_up()
-    }
-
-    /// Receivers served by coverage (always empty for BMMM).
-    pub fn assumed_covered(&self) -> &[NodeId] {
-        &self.assumed_covered
     }
 
     fn compute_batch(&self, env: &Env<'_, '_>) -> Vec<NodeId> {
@@ -178,7 +158,7 @@ impl BmmmFsm {
     /// outstanding, and decide what happens next.
     fn finish_batch(&mut self, env: &mut Env<'_, '_>) -> Flow {
         self.emit_batch_end(env);
-        self.all_acked.extend(self.batch_acked.iter().copied());
+        env.acked.extend(self.batch_acked.iter().copied());
         if self.location_aware {
             // UPDATE(S, S_ACK): keep the nodes not covered by the ACK set.
             let indices: Vec<usize> = self.s_remaining.iter().map(|n| n.index()).collect();
@@ -190,9 +170,9 @@ impl BmmmFsm {
             for &n in &self.s_remaining {
                 if !new_remaining.contains(&n)
                     && !self.batch_acked.contains(&n)
-                    && !self.assumed_covered.contains(&n)
+                    && !env.assumed_covered.contains(&n)
                 {
-                    self.assumed_covered.push(n);
+                    env.assumed_covered.push(n);
                 }
             }
             self.s_remaining = new_remaining;

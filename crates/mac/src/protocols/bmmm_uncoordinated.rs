@@ -33,10 +33,10 @@ pub struct BmmmUncoordFsm {
     batch: Vec<NodeId>,
     phase: Phase,
     cts_any: bool,
+    /// ACKs that survived the burst this batch, folded into the
+    /// message's receipts when the burst window closes.
     batch_acked: Vec<NodeId>,
-    all_acked: Vec<NodeId>,
-    /// Failed rounds per receiver, and the receivers given up on (the
-    /// same budget as BMMM's).
+    /// Failed rounds per receiver (the same budget as BMMM's).
     budget: RetryBudget,
 }
 
@@ -49,19 +49,8 @@ impl BmmmUncoordFsm {
             phase: Phase::AwaitCts { i: 0 },
             cts_any: false,
             batch_acked: Vec::new(),
-            all_acked: Vec::new(),
             budget: RetryBudget::default(),
         }
-    }
-
-    /// Receivers whose ACK survived capture so far.
-    pub fn acked(&self) -> &[NodeId] {
-        &self.all_acked
-    }
-
-    /// Receivers abandoned after exhausting their retry budget.
-    pub fn gave_up(&self) -> &[NodeId] {
-        self.budget.gave_up()
     }
 
     fn send_rts(&mut self, i: usize, env: &mut Env<'_, '_>) -> Flow {
@@ -111,7 +100,7 @@ impl BmmmUncoordFsm {
                 Flow::Recontend { reset_cw: pruned }
             }
             Phase::AwaitAckBurst => {
-                self.all_acked.extend(self.batch_acked.iter().copied());
+                env.acked.extend(self.batch_acked.iter().copied());
                 self.s_remaining.retain(|n| !self.batch_acked.contains(n));
                 self.budget.prune_exhausted(&mut self.s_remaining, env);
                 if self.s_remaining.is_empty() {

@@ -26,10 +26,8 @@ pub struct BmwFsm {
     /// order).
     pending: Vec<NodeId>,
     phase: Phase,
-    acked: Vec<NodeId>,
-    /// Failed exchanges per target, and the targets given up on. Only
-    /// the front target is ever charged, so its count is its run of
-    /// failed exchanges.
+    /// Failed exchanges per target. Only the front target is ever
+    /// charged, so its count is its run of failed exchanges.
     budget: RetryBudget,
 }
 
@@ -39,30 +37,18 @@ impl BmwFsm {
         BmwFsm {
             pending: receivers,
             phase: Phase::AwaitCts,
-            acked: Vec::new(),
             budget: RetryBudget::default(),
         }
-    }
-
-    /// Receivers confirmed so far (ACK or have-flagged CTS).
-    pub fn acked(&self) -> &[NodeId] {
-        &self.acked
-    }
-
-    /// Targets abandoned after exhausting their retry budget.
-    pub fn gave_up(&self) -> &[NodeId] {
-        self.budget.gave_up()
     }
 
     fn target(&self) -> Option<NodeId> {
         self.pending.first().copied()
     }
 
-    /// Mark the current target served; move to the next (with a fresh
-    /// contention phase) or finish.
-    fn advance(&mut self) -> Flow {
-        let done = self.pending.remove(0);
-        self.acked.push(done);
+    /// Mark the current target served (an ACK or a have-flagged CTS);
+    /// move to the next (with a fresh contention phase) or finish.
+    fn advance(&mut self, env: &mut Env<'_, '_>) -> Flow {
+        env.acked.push(self.pending.remove(0));
         self.next_target()
     }
 
@@ -107,7 +93,7 @@ impl BmwFsm {
             (Phase::AwaitCts, FrameKind::Cts) => {
                 if matches!(frame.info, FrameInfo::BmwCts { have: true }) {
                     // Receiver already holds the message: skip the data.
-                    self.advance()
+                    self.advance(env)
                 } else {
                     let t = env.timing();
                     env.send_data(Dest::Node(target), t.control_slots);
@@ -115,7 +101,7 @@ impl BmwFsm {
                     Flow::Await(env.response_deadline(t.data_slots))
                 }
             }
-            (Phase::AwaitAck, FrameKind::Ack) => self.advance(),
+            (Phase::AwaitAck, FrameKind::Ack) => self.advance(env),
             _ => Flow::Continue,
         }
     }

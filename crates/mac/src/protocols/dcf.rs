@@ -1,6 +1,8 @@
 //! IEEE 802.11 DCF unicast: CSMA/CA + RTS/CTS/DATA/ACK with binary
-//! exponential backoff and a retry limit. All protocols in the suite use
-//! this machine for the unicast share of the traffic mix.
+//! exponential backoff. All protocols in the suite use this machine for
+//! the unicast share of the traffic mix. A missing CTS or ACK sends it
+//! back into contention; the node's retry ceiling
+//! (`timing.retry_limit`) is DCF's retry limit.
 
 use super::{Env, Flow};
 use rmm_sim::{Dest, Frame, FrameKind, NodeId};
@@ -18,8 +20,6 @@ enum Phase {
 pub struct DcfFsm {
     target: NodeId,
     phase: Phase,
-    retries: u32,
-    acked: Vec<NodeId>,
 }
 
 impl DcfFsm {
@@ -28,14 +28,7 @@ impl DcfFsm {
         DcfFsm {
             target,
             phase: Phase::AwaitCts,
-            retries: 0,
-            acked: Vec::new(),
         }
-    }
-
-    /// Receivers that ACKed (0 or 1 node).
-    pub fn acked(&self) -> &[NodeId] {
-        &self.acked
     }
 
     pub(super) fn on_access(&mut self, env: &mut Env<'_, '_>) -> Flow {
@@ -47,16 +40,6 @@ impl DcfFsm {
         );
         self.phase = Phase::AwaitCts;
         Flow::Await(env.response_deadline(t.control_slots))
-    }
-
-    pub(super) fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        // The expected response did not arrive.
-        self.retries += 1;
-        if self.retries > env.timing().retry_limit {
-            Flow::Abort
-        } else {
-            Flow::Recontend { reset_cw: false }
-        }
     }
 
     pub(super) fn on_frame(&mut self, frame: &Frame, env: &mut Env<'_, '_>) -> Flow {
@@ -71,7 +54,7 @@ impl DcfFsm {
                 Flow::Await(env.response_deadline(t.data_slots))
             }
             (Phase::AwaitAck, FrameKind::Ack) => {
-                self.acked.push(self.target);
+                env.acked.push(self.target);
                 Flow::Complete
             }
             _ => Flow::Continue,

@@ -34,11 +34,11 @@ pub struct LeaderFsm {
     phase: Phase,
     cts_ok: bool,
     ack_ok: bool,
-    acked: Vec<NodeId>,
-    /// Failed attempts per leader, and the leaders demoted after
-    /// `timing.dest_retry_limit` of them. A dead leader would otherwise
-    /// wedge the whole group; demoting it rotates leadership to the next
-    /// receiver in list order. Only the current leader is ever charged.
+    /// Failed attempts per leader. A leader that reaches
+    /// `timing.dest_retry_limit` of them is demoted ([`Env::gave_up`]):
+    /// a dead leader would otherwise wedge the whole group, and demoting
+    /// it rotates leadership to the next receiver in list order. Only
+    /// the current leader is ever charged.
     budget: RetryBudget,
 }
 
@@ -49,7 +49,6 @@ impl LeaderFsm {
             phase: Phase::AwaitCts,
             cts_ok: false,
             ack_ok: false,
-            acked: Vec::new(),
             budget: RetryBudget::default(),
         }
     }
@@ -59,26 +58,16 @@ impl LeaderFsm {
         receivers.first().copied()
     }
 
-    /// Receivers confirmed (the leader, after a clean ACK).
-    pub fn acked(&self) -> &[NodeId] {
-        &self.acked
-    }
-
-    /// Leaders abandoned after exhausting their retry budget.
-    pub fn gave_up(&self) -> &[NodeId] {
-        self.budget.gave_up()
-    }
-
     /// The request's receiver list minus demoted leaders, order
     /// preserved. The front element is the current leader — receivers
     /// apply the same `first()` convention to the group list carried by
     /// each frame, so rotation needs no extra signalling.
-    fn group(&self, env: &Env<'_, '_>) -> Vec<NodeId> {
+    fn group(env: &Env<'_, '_>) -> Vec<NodeId> {
         env.req
             .receivers
             .iter()
             .copied()
-            .filter(|n| !self.budget.gave_up().contains(n))
+            .filter(|n| !env.gave_up.contains(n))
             .collect()
     }
 
@@ -87,7 +76,7 @@ impl LeaderFsm {
     /// exchange is only ever opened with a leader, so the group is not
     /// empty here.
     fn fail_attempt(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        let group = self.group(env);
+        let group = Self::group(env);
         if !self.budget.charge(group[0], env) {
             return Flow::Recontend { reset_cw: false };
         }
@@ -100,7 +89,7 @@ impl LeaderFsm {
     }
 
     pub(super) fn on_access(&mut self, env: &mut Env<'_, '_>) -> Flow {
-        let group = self.group(env);
+        let group = Self::group(env);
         let Some(_leader) = Self::leader(&group) else {
             return Flow::Complete;
         };
@@ -117,18 +106,16 @@ impl LeaderFsm {
             Phase::AwaitCts if self.cts_ok => {
                 let t = env.timing();
                 // Duration covers the ACK/jam slot after the data.
-                let group = self.group(env);
+                let group = Self::group(env);
                 env.send_data(Dest::group(group), t.control_slots);
                 self.phase = Phase::AwaitAck;
                 Flow::Await(env.response_deadline(t.data_slots))
             }
             Phase::AwaitAck if self.ack_ok => {
-                // A clean leader ACK: no receiver jammed it.
-                if let Some(leader) = Self::leader(&self.group(env)) {
-                    if !self.acked.contains(&leader) {
-                        self.acked.push(leader);
-                    }
-                }
+                // A clean leader ACK: no receiver jammed it, and the
+                // leader confirms for the group.
+                let leader = Self::leader(&Self::group(env));
+                env.acked.extend(leader);
                 Flow::Complete
             }
             // No leader CTS, or a missing or jammed ACK: retransmit
@@ -141,7 +128,7 @@ impl LeaderFsm {
         if frame.msg != env.req.msg {
             return Flow::Continue;
         }
-        let leader = Self::leader(&self.group(env));
+        let leader = Self::leader(&Self::group(env));
         match (self.phase, frame.kind) {
             (Phase::AwaitCts, FrameKind::Cts) if Some(frame.src) == leader => {
                 self.cts_ok = true;

@@ -12,7 +12,9 @@
 //! Each callback returns a [`Flow`] telling the node what to do next.
 //! Every frame a sender puts on the air opens an exchange whose deadline
 //! it hands back as [`Flow::Await`]; the node keeps that slot and calls
-//! [`Fsm::on_slot`] when it arrives, so no FSM keeps a clock of its own.
+//! [`Fsm::on_slot`] when it arrives, so no FSM keeps a clock of its own,
+//! and the receivers an FSM confirms, closes by coverage or gives up on
+//! go into the message's receipts, which the node keeps ([`Env`]).
 //! Receiver-side behaviour (CTS/ACK/NAK replies, NAV) is shared and lives
 //! in the node itself.
 
@@ -157,13 +159,17 @@ pub enum Flow {
     },
     /// The message is served; record success.
     Complete,
-    /// The protocol gave up on the message (DCF retry limit).
+    /// The protocol gave up on the message (the leader scheme, once no
+    /// receiver is left to lead). Retries that fail past
+    /// `timing.retry_limit` need no `Abort`: the node fails the message
+    /// itself.
     Abort,
 }
 
 /// Everything an FSM callback may touch: the shared node state, the
-/// engine context, the request being served, and the per-message frame
-/// counters.
+/// engine context, the request being served, and the message's
+/// receipts. The receipts belong to the node, which moves them into the
+/// message's [`crate::SentRecord`] when its service ends.
 pub struct Env<'a, 'b> {
     /// Shared node state (identity, timing, geometry, received set, …).
     pub core: &'a mut NodeCore,
@@ -171,10 +177,14 @@ pub struct Env<'a, 'b> {
     pub ctx: &'a mut Ctx<'b>,
     /// The request being served.
     pub req: &'a Request,
-    /// Data frames sent for this message (incremented by [`Env::send`]).
-    pub data_tx: &'a mut u32,
-    /// Control frames sent for this message.
-    pub control_tx: &'a mut u32,
+    /// Receivers that explicitly confirmed the message so far (DCF, BMW,
+    /// BMMM, LAMM, BMMM-U and the leader scheme).
+    pub acked: &'a mut Vec<NodeId>,
+    /// Receivers LAMM closed by geometric coverage without an ACK.
+    pub assumed_covered: &'a mut Vec<NodeId>,
+    /// Receivers abandoned after exhausting the per-destination retry
+    /// budget, in order.
+    pub gave_up: &'a mut Vec<NodeId>,
 }
 
 impl Env<'_, '_> {
@@ -196,11 +206,6 @@ impl Env<'_, '_> {
             "FSM of {} scheduled a send while already transmitting",
             self.core.id
         );
-        if frame.kind == FrameKind::Data {
-            *self.data_tx += 1;
-        } else {
-            *self.control_tx += 1;
-        }
         self.core.transmit(self.ctx, frame);
     }
 
@@ -248,21 +253,15 @@ impl Env<'_, '_> {
 /// BMMM, LAMM, BMMM-U and the leader scheme): every exchange or batch a
 /// receiver is served in without confirming is one failed round, and a
 /// receiver that reaches `timing.dest_retry_limit` failed rounds is given
-/// up on, so one dead receiver costs a bounded number of rounds.
+/// up on ([`Env::gave_up`]), so one dead receiver costs a bounded number
+/// of rounds.
 #[derive(Debug, Default)]
 pub(crate) struct RetryBudget {
     /// Failed rounds charged to each receiver so far.
     misses: Vec<(NodeId, u32)>,
-    /// Receivers abandoned after exhausting their budget, in order.
-    gave_up: Vec<NodeId>,
 }
 
 impl RetryBudget {
-    /// Receivers abandoned after exhausting their budget.
-    pub(crate) fn gave_up(&self) -> &[NodeId] {
-        &self.gave_up
-    }
-
     /// Charges one failed round to `dst`. Returns whether that exhausted
     /// its budget, in which case `dst` is traced and recorded as given
     /// up on.
@@ -288,7 +287,7 @@ impl RetryBudget {
             dst,
             after_retries: count,
         });
-        self.gave_up.push(dst);
+        env.gave_up.push(dst);
         true
     }
 
@@ -309,13 +308,13 @@ impl RetryBudget {
         remaining: &mut Vec<NodeId>,
         env: &mut Env<'_, '_>,
     ) -> bool {
-        let before = self.gave_up.len();
+        let before = env.gave_up.len();
         for &dst in batch {
             if remaining.contains(&dst) && self.charge(dst, env) {
                 remaining.retain(|n| *n != dst);
             }
         }
-        self.gave_up.len() > before
+        env.gave_up.len() > before
     }
 }
 
@@ -383,7 +382,10 @@ impl Fsm {
     /// the deadline in the past.
     pub fn on_slot(&mut self, env: &mut Env<'_, '_>) -> Flow {
         match self {
-            Fsm::Dcf(f) => f.on_slot(env),
+            // The CTS or ACK did not arrive: retry. The node's retry
+            // ceiling fails the message once `timing.retry_limit`
+            // retries have failed.
+            Fsm::Dcf(_) => Flow::Recontend { reset_cw: false },
             // The data frame left the air.
             Fsm::Plain(_) => Flow::Complete,
             Fsm::Tang(f) => f.on_slot(env),
@@ -406,40 +408,6 @@ impl Fsm {
             Fsm::Bmmm(f) => f.on_frame(frame, env),
             Fsm::Leader(f) => f.on_frame(frame, env),
             Fsm::BmmmUncoord(f) => f.on_frame(frame, env),
-        }
-    }
-
-    /// Receivers that explicitly confirmed the message so far.
-    pub fn acked(&self) -> &[NodeId] {
-        match self {
-            Fsm::Dcf(f) => f.acked(),
-            Fsm::Plain(_) | Fsm::Tang(_) | Fsm::Bsma(_) => &[],
-            Fsm::Bmw(f) => f.acked(),
-            Fsm::Bmmm(f) => f.acked(),
-            Fsm::Leader(f) => f.acked(),
-            Fsm::BmmmUncoord(f) => f.acked(),
-        }
-    }
-
-    /// Receivers served by geometric coverage (LAMM only).
-    pub fn assumed_covered(&self) -> &[NodeId] {
-        match self {
-            Fsm::Bmmm(f) => f.assumed_covered(),
-            _ => &[],
-        }
-    }
-
-    /// Receivers abandoned after exhausting the per-destination retry
-    /// budget (`timing.dest_retry_limit`). Empty for protocols without
-    /// per-receiver service state (802.11, Tang–Gerla, BSMA, DCF) —
-    /// those are bounded by the node-level retry ceiling instead.
-    pub fn gave_up(&self) -> &[NodeId] {
-        match self {
-            Fsm::Bmw(f) => f.gave_up(),
-            Fsm::Bmmm(f) => f.gave_up(),
-            Fsm::Leader(f) => f.gave_up(),
-            Fsm::BmmmUncoord(f) => f.gave_up(),
-            Fsm::Dcf(_) | Fsm::Plain(_) | Fsm::Tang(_) | Fsm::Bsma(_) => &[],
         }
     }
 }

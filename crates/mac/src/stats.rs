@@ -71,7 +71,9 @@ pub enum Outcome {
     Completed(Slot),
     /// The service deadline expired before completion.
     TimedOut(Slot),
-    /// The protocol gave up (DCF retry limit exceeded).
+    /// The sender gave up: its retries failed past
+    /// `timing.retry_limit`, the leader scheme ran out of leaders, or
+    /// the station rebooted mid-service.
     Failed(Slot),
 }
 
@@ -99,11 +101,8 @@ pub struct SentRecord {
     pub outcome: Outcome,
     /// Number of contention phases spent on this message.
     pub contention_phases: u32,
-    /// Number of data-frame transmissions.
-    pub data_tx: u32,
-    /// Number of control-frame transmissions.
-    pub control_tx: u32,
-    /// Receivers that explicitly ACKed (BMW/BMMM/LAMM).
+    /// Receivers that explicitly confirmed the message (DCF, BMW, BMMM,
+    /// LAMM, BMMM-U and the leader scheme).
     pub acked: Vec<NodeId>,
     /// Receivers LAMM deemed served by geometric coverage rather than an
     /// explicit ACK (empty for every other protocol).
@@ -135,12 +134,6 @@ pub struct NodeCounters {
     /// Transmitted frames by kind (their `total()` is every frame this
     /// station put on the air).
     pub sent_by_kind: FrameKindCounts,
-    /// Frames this station decoded.
-    pub frames_received: u64,
-    /// Data frames decoded (including overheard ones).
-    pub data_received: u64,
-    /// Times the station entered a contention phase.
-    pub contention_phases: u64,
     /// Responses suppressed because the station was in yield state.
     pub yield_suppressions: u64,
 }
@@ -158,8 +151,6 @@ mod tests {
             started: Some(12),
             outcome,
             contention_phases: 2,
-            data_tx: 1,
-            control_tx: 4,
             acked: vec![NodeId(1)],
             assumed_covered: vec![],
             gave_up: vec![],

@@ -30,10 +30,11 @@ pub struct MacTiming {
     pub cw_min: u32,
     /// Contention window ceiling for binary exponential backoff.
     pub cw_max: u32,
-    /// DCF unicast retry limit before the frame is dropped. Also the
-    /// ceiling on *consecutive* failed recontentions for every other
-    /// protocol (enforced at the node level), so no FSM can retry
-    /// unboundedly.
+    /// Ceiling on *consecutive* failed recontentions, enforced by the
+    /// node for every protocol: once a message's retries fail past it,
+    /// the message is recorded `Failed`. For DCF unicast this is
+    /// 802.11's retry limit; for the multicast senders it keeps any FSM
+    /// from retrying unboundedly.
     pub retry_limit: u32,
     /// Per-destination retry budget for the reliable multicast
     /// protocols: once a receiver has failed to confirm this many

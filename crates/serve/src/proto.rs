@@ -67,8 +67,11 @@ pub enum Request {
     Metrics,
     /// Liveness probe.
     Ping,
-    /// Begin a graceful drain: stop accepting connections, finish
-    /// in-flight work, flush the cache, exit.
+    /// Begin a graceful drain: stop accepting connections and reading
+    /// requests, answer every request already read (in-flight work
+    /// finishes and stores its cache entry), close every connection,
+    /// exit. A client that keeps its socket open reads EOF after its
+    /// answers.
     Shutdown,
 }
 

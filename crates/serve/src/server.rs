@@ -30,7 +30,14 @@
 //!
 //! Graceful drain (`Shutdown` request or [`Server::begin_shutdown`]):
 //! stop accepting, refuse new engine work, finish in-flight jobs (each
-//! stores its cache entry before it answers), join every thread.
+//! stores its cache entry before it answers), join every thread. The
+//! drain also ends reading on every open connection, so a client that
+//! keeps its socket open cannot hold it: a reader blocked on such a
+//! client wakes with EOF, and a reader that sees EOF while draining
+//! cancels nothing, so every request the server had read is answered
+//! before its connection closes. A client that stops reading while it
+//! is owed more than a socket buffer still holds the drain, since its
+//! writer blocks.
 
 use crate::cache::{cache_key, CacheStore};
 use crate::proto::{compute_cell, encode, Rendered, Request, Response, RunRequest, PROTO_VERSION};
@@ -227,22 +234,23 @@ impl Server {
     }
 }
 
-/// Accepts connections until a drain starts, then joins every
-/// connection's thread before it returns. A thread's exit, not just the
-/// end of its work, is what hands its memory back, so a server that
-/// has joined holds no thread of a closed connection.
+/// Accepts connections until a drain starts, then ends reading on
+/// every open connection and joins its thread before it returns. A
+/// thread's exit, not just the end of its work, is what hands its
+/// memory back, so a server that has joined holds no thread of a closed
+/// connection.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
-    // The threads of the connections not yet joined. Those that have
-    // finished are joined as each connection arrives, so what is left
-    // are the open connections.
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    // The threads of the connections not yet joined, each beside a
+    // handle on its socket. Those that have finished are joined as each
+    // connection arrives, so what is left are the open connections.
+    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     for stream in listener.incoming() {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         let _ = stream.set_nodelay(true);
-        for conn in conns.extract_if(.., |conn| conn.is_finished()) {
+        for (conn, _) in conns.extract_if(.., |(conn, _)| conn.is_finished()) {
             let _ = conn.join();
         }
         if conns.len() >= max_conns {
@@ -258,18 +266,28 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
             );
             continue; // dropping the stream closes it
         }
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
         shared.conns_accepted.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(&shared);
-        conns.push(std::thread::spawn(move || handle_conn(stream, &shared)));
+        let conn = std::thread::spawn(move || handle_conn(stream, &shared));
+        conns.push((conn, socket));
     }
-    for conn in conns {
+    // A reader blocked on a client that keeps its socket open wakes
+    // with EOF, so every connection ends once its answers are written.
+    for (_, socket) in &conns {
+        let _ = socket.shutdown(Shutdown::Read);
+    }
+    for (conn, _) in conns {
         let _ = conn.join();
     }
 }
 
 /// Runs one connection to completion: spawns the writer, loops over
 /// request lines, and on disconnect cancels whatever the client will
-/// never read.
+/// never read. A drain ends reading too, but then nothing is cancelled:
+/// every request read is answered before the connection closes.
 fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -346,17 +364,24 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
         }
     }
     // The client is gone: queued jobs it will never read are cancelled
-    // (running ones finish — cancellation is queue-removal). Dropping
-    // our sender lets the writer drain and exit once the last in-flight
-    // job drops its clone.
-    for ticket in &outstanding {
-        ticket.cancel();
+    // (running ones finish — cancellation is queue-removal). Unless the
+    // drain ended reading: then the client is still there and is owed
+    // every answer. Dropping our sender lets the writer drain and exit
+    // once the last in-flight job drops its clone.
+    if !shared.draining.load(Ordering::SeqCst) {
+        for ticket in &outstanding {
+            ticket.cancel();
+        }
     }
     drop(out_tx);
     let _ = writer.join();
+    let stream = reader.into_inner();
     if oversize {
-        linger(reader.into_inner());
+        linger(&stream);
     }
+    // The accept loop holds a handle on this socket until it reaps this
+    // thread, so dropping ours would not close it.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Closes a connection whose framing is lost. The write side closes
@@ -364,13 +389,13 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
 /// input the client is still sending is discarded for up to [`LINGER`].
 /// Closing with that input unread would reset the connection, and the
 /// reset could overtake the `Error` line.
-fn linger(stream: TcpStream) {
+fn linger(mut stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(LINGER));
     let deadline = Instant::now() + LINGER;
     let mut sink = [0u8; 8192];
     while Instant::now() < deadline {
-        match (&stream).read(&mut sink) {
+        match stream.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }

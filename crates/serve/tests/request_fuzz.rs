@@ -44,7 +44,7 @@ fn line_of(req: RunRequest) -> Vec<u8> {
 
 /// How many inputs [`out_of_range`] has; the generator and the coverage
 /// check both walk `0..OUT_OF_RANGE_INPUTS`.
-const OUT_OF_RANGE_INPUTS: usize = 18;
+const OUT_OF_RANGE_INPUTS: usize = 27;
 
 /// Requests whose scenario (or protocol) the server must refuse: built
 /// through the types where they allow it, edited in the JSON where the
@@ -95,6 +95,27 @@ fn out_of_range(k: usize) -> Vec<u8> {
                 s.timing.data_slots = u32::MAX;
             } else {
                 s.timing.control_slots = u32::MAX;
+            }
+            with(s)
+        }
+        // Values that ran to a meaningless result: a window below its
+        // floor or past its cap, a DIFS no longer above a batch's idle
+        // slot or absurdly long, a timeout that serves nothing, a mix
+        // that weighs nothing sensible, negative GPS noise, and a
+        // threshold no delivery can meet.
+        17..=25 => {
+            let mut s = tiny();
+            let t = &mut s.timing;
+            match k {
+                17 => t.cw_min = 300,
+                18 => (t.cw_min, t.cw_max) = (u32::MAX, u32::MAX),
+                19 => t.difs = 1,
+                20 => t.difs = u32::MAX,
+                21 => t.timeout = 0,
+                22 => s.mix.unicast = -0.1,
+                23 => (s.mix.unicast, s.mix.multicast, s.mix.broadcast) = (0.0, 0.0, 0.0),
+                24 => s.position_noise = -0.1,
+                _ => s.reliability_threshold = 5.0,
             }
             with(s)
         }

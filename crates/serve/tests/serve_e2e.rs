@@ -454,3 +454,71 @@ fn graceful_drain_refuses_new_work_but_finishes_the_ack() {
     }
     server.join();
 }
+
+/// A drain closes connections whose clients keep their sockets open.
+/// One client sends a `Run` and `Shutdown` on one connection and reads
+/// through `Draining` without closing; a second sits idle after a
+/// `Ping`. `join` must return, and both clients must read EOF, the
+/// first after every answer it was owed.
+#[test]
+fn drain_closes_connections_their_clients_keep_open() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let (server, addr) = start(ServeConfig::default());
+    let connect = || {
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream
+    };
+    let line_of = |req: &Request| format!("{}\n", serde_json::to_string(req).unwrap());
+    let mut idle = connect();
+    idle.write_all(line_of(&Request::Ping).as_bytes()).unwrap();
+    let mut idle = BufReader::new(idle);
+    let mut pong = String::new();
+    idle.read_line(&mut pong).unwrap();
+    assert!(pong.contains("Pong"), "{pong}");
+
+    let mut asker = connect();
+    let req = run_req(1, "bmmm", 5, false);
+    let lines = line_of(&Request::Run(req.clone())) + &line_of(&Request::Shutdown);
+    asker.write_all(lines.as_bytes()).unwrap();
+    let mut asker = BufReader::new(asker);
+    let mut read = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(
+            asker.read_line(&mut line).unwrap() > 0,
+            "EOF before Draining"
+        );
+        let draining = line.contains("\"Draining\"");
+        read.push(line);
+        if draining {
+            break;
+        }
+    }
+
+    let (joined_tx, joined_rx) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        let _ = joined_tx.send(());
+    });
+    joined_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("join returned while two clients kept their sockets open");
+    joiner.join().expect("the joining thread finished");
+    let mut rest = String::new();
+    asker
+        .read_to_string(&mut rest)
+        .expect("the asking client reads EOF");
+    read.extend(rest.lines().map(|l| format!("{l}\n")));
+    let want = local_lines(&req).unwrap();
+    let results: Vec<&String> = read.iter().filter(|l| l.contains("\"Result\"")).collect();
+    assert_eq!(results.len(), 1, "{read:?}");
+    assert_eq!(results[0].trim_end(), want.last().unwrap(), "{read:?}");
+    let mut rest = String::new();
+    idle.read_to_string(&mut rest)
+        .expect("the idle client reads EOF");
+    assert!(rest.is_empty(), "{rest}");
+}

@@ -36,6 +36,11 @@
 //! and trace order match naive stepping. A station outside that union
 //! has a future wakeup and is not carrier-sensitive, so the rule skips
 //! it. The fast-forward horizon is the heap's earliest live entry.
+//! A station whose hint no longer describes it is marked due: it runs
+//! on the next stepped slot and pushes its fresh hint. [`Engine::wake`]
+//! marks one (an arrival, a reboot); [`Engine::new`],
+//! [`Engine::set_topology`] and every naive [`Engine::step`] mark them
+//! all. Heap entries a marking supersedes are dropped when they surface.
 
 use crate::capture::Capture;
 use crate::channel::{Channel, SlotOutcome};
@@ -59,6 +64,12 @@ fn bit(words: &[u64], i: usize) -> bool {
 #[inline]
 fn set_bit(words: &mut [u64], i: usize) {
     words[i >> 6] |= 1 << (i & 63);
+}
+
+/// The bits of word `w` that name one of `n` stations.
+#[inline]
+fn station_bits(n: usize, w: usize) -> u64 {
+    u64::MAX >> (64 - (n - w * 64).min(64))
 }
 
 #[inline]
@@ -156,20 +167,6 @@ pub trait Station {
     fn on_reset(&mut self, _now: Slot) {}
 }
 
-/// How [`Engine::step_inner`] selects stations for the `on_slot` phase.
-#[derive(Clone, Copy, PartialEq)]
-enum Dispatch {
-    /// Every station, no hint bookkeeping (the naive reference stepper).
-    Full,
-    /// Every station, refreshing the hint/sensitivity arrays afterwards —
-    /// re-seeds the event-horizon state after it was invalidated.
-    FullRefresh,
-    /// Only stations that received a frame, sense a busy medium while
-    /// carrier-sensitive, or whose hinted wakeup slot arrived; hints
-    /// refreshed as they run.
-    Selective,
-}
-
 /// The slotted simulation engine: topology + channel + clock.
 pub struct Engine {
     topo: Topology,
@@ -190,26 +187,22 @@ pub struct Engine {
     /// naive stepping could not have changed the station in.
     wake_at: Vec<Slot>,
     /// Pending hinted wakeups, a min-heap of `(slot, station)`. An entry
-    /// is pushed only when a station's hint changes (and for every
-    /// station on a [`Dispatch::FullRefresh`], which clears the heap
-    /// first), so every finite future `wake_at[i]` has an entry, while
-    /// an entry whose slot no longer equals `wake_at[station]` is stale
-    /// and is dropped when it reaches the top.
+    /// is pushed whenever a station's hint changes, which it always does
+    /// when a due station runs, so every finite future `wake_at[i]` has
+    /// an entry, while an entry whose slot no longer equals
+    /// `wake_at[station]` is stale and is dropped when it reaches the
+    /// top.
     wakeups: BinaryHeap<Reverse<(Slot, u32)>>,
     /// Stations whose `wake_at` slot has arrived but that have not run
     /// since (word-packed): filled from `wakeups` at the top of each
-    /// selective slot, set directly by [`Engine::wake`] and a reboot,
-    /// and cleared when the station runs, which a due station always
-    /// does in the slot it fell due.
+    /// selective slot, set directly by [`Engine::wake`] and
+    /// `Engine::wake_all`, and cleared when the station runs, which a
+    /// due station always does in the slot it fell due.
     due: Vec<u64>,
     /// Scratch: per-station fault masks for the current slot
     /// (word-packed rx-blocked / tx-blocked bits).
     rx_blocked: Vec<u64>,
     tx_blocked: Vec<u64>,
-    /// Whether `wake_at`/`sensitive` describe the stations' live state.
-    /// Cleared by naive stepping and external perturbations; re-seeded
-    /// by the next [`Dispatch::FullRefresh`] slot.
-    hints_valid: bool,
     /// Per-slot resolution outcome, reused across slots.
     outcome: SlotOutcome,
     /// Slots fast-forwarded over by [`Engine::advance_to`] (monotone).
@@ -237,7 +230,7 @@ impl Engine {
     pub fn new(topo: Topology, capture: Capture, seed: u64) -> Self {
         let n = topo.len();
         let n_words = n.div_ceil(64);
-        Engine {
+        let mut engine = Engine {
             topo,
             channel: Channel::new(capture),
             now: 0,
@@ -251,14 +244,15 @@ impl Engine {
             due: vec![0; n_words],
             rx_blocked: vec![0; n_words],
             tx_blocked: vec![0; n_words],
-            hints_valid: false,
             outcome: SlotOutcome::default(),
             slots_skipped: 0,
             faults: FaultPlan::default(),
             has_reboots: false,
             last_tx: vec![None; n],
             prof: None,
-        }
+        };
+        engine.wake_all();
+        engine
     }
 
     /// Slot-sampling stride used by [`Engine::enable_profiling`]: one
@@ -402,12 +396,13 @@ impl Engine {
     /// the new geometry — acceptable at epoch granularity, since motion
     /// per frame airtime is negligible at realistic speeds. The
     /// channel's interference indexes are re-keyed to the new geometry
-    /// and the event-horizon dispatch state is re-seeded.
+    /// and every station is marked due, so the next stepped slot runs
+    /// each one and refreshes its hint.
     pub fn set_topology(&mut self, topo: Topology) {
         assert_eq!(topo.len(), self.topo.len(), "station count is fixed");
         self.topo = topo;
         self.channel.retune(&self.topo, self.now);
-        self.hints_valid = false;
+        self.wake_all();
     }
 
     /// Marks `node` for dispatch on the next stepped slot, regardless of
@@ -420,19 +415,35 @@ impl Engine {
         set_bit(&mut self.due, node.index());
     }
 
+    /// [`Engine::wake`] for every station: the next stepped slot runs
+    /// each one and pushes its hint afresh. Sets no bit at or past the
+    /// station count.
+    fn wake_all(&mut self) {
+        self.wake_at.fill(self.now);
+        let n = self.wake_at.len();
+        for (w, word) in self.due.iter_mut().enumerate() {
+            *word = station_bits(n, w);
+        }
+    }
+
     /// The radio channel (for inspection in tests and stats).
     pub fn channel(&self) -> &Channel {
         &self.channel
     }
 
     /// Advances the network by one slot. `stations[i]` is the MAC entity
-    /// of `NodeId(i)`; the slice length must match the topology.
+    /// of `NodeId(i)`; the slice length must match the topology. Every
+    /// station runs and no hint is kept, so all are left due.
     pub fn step<S: Station>(&mut self, stations: &mut [S]) {
-        self.hints_valid = false;
-        self.step_inner(stations, Dispatch::Full);
+        self.step_inner(stations, false);
+        self.wake_all();
     }
 
-    fn step_inner<S: Station>(&mut self, stations: &mut [S], dispatch: Dispatch) {
+    /// One slot. `selective` runs only the stations that received a
+    /// frame, sense a busy medium while carrier-sensitive, or are due,
+    /// refreshing their hints; otherwise every station runs and no hint
+    /// is kept (the naive reference stepper).
+    fn step_inner<S: Station>(&mut self, stations: &mut [S], selective: bool) {
         debug_assert_eq!(stations.len(), self.topo.len());
         let now = self.now;
 
@@ -442,14 +453,12 @@ impl Engine {
         // clamps its skip target to the next completion, so the reset
         // fires identically under naive and fast stepping.
         if self.has_reboots {
-            for node in self.faults.reboots_completing_at(now) {
-                let i = node.index();
-                stations[i].on_reset(now);
-                // A cold reset reschedules the station arbitrarily, and
-                // the pre-reset dispatch flags no longer describe it.
-                self.wake_at[i] = now;
-                set_bit(&mut self.due, i);
-                assign_bit(&mut self.sensitive, i, stations[i].carrier_sensitive());
+            let rebooted: Vec<NodeId> = self.faults.reboots_completing_at(now).collect();
+            for node in rebooted {
+                stations[node.index()].on_reset(now);
+                // A cold reset reschedules the station arbitrarily, so
+                // it runs this slot and refreshes its hint.
+                self.wake(node);
             }
         }
 
@@ -516,32 +525,24 @@ impl Engine {
         // station, or the station's own hinted wakeup. Only stations in
         // `received | due | sensitive` can be any of these; the rest are
         // never visited.
-        match dispatch {
-            Dispatch::Full => {}
-            Dispatch::FullRefresh => {
-                self.wakeups.clear();
-                self.due.fill(0);
-            }
-            Dispatch::Selective => {
-                while let Some(&Reverse((slot, i))) = self.wakeups.peek() {
-                    if slot > now {
-                        break;
-                    }
-                    self.wakeups.pop();
-                    if self.wake_at[i as usize] == slot {
-                        set_bit(&mut self.due, i as usize);
-                    }
+        if selective {
+            while let Some(&Reverse((slot, i))) = self.wakeups.peek() {
+                if slot > now {
+                    break;
+                }
+                self.wakeups.pop();
+                if self.wake_at[i as usize] == slot {
+                    set_bit(&mut self.due, i as usize);
                 }
             }
         }
         let n = stations.len();
         for w in 0..self.received.len() {
             let received = std::mem::take(&mut self.received[w]);
-            let mut visit = if dispatch == Dispatch::Selective {
+            let mut visit = if selective {
                 received | self.due[w] | self.sensitive[w]
             } else {
-                // Every station the word holds.
-                u64::MAX >> (64 - (n - w * 64).min(64))
+                station_bits(n, w)
             };
             while visit != 0 {
                 let b = visit.trailing_zeros() as usize;
@@ -549,7 +550,7 @@ impl Engine {
                 let i = w * 64 + b;
                 let node = NodeId(i as u32);
                 let busy = self.channel.busy_prev_slot(node, now, &self.topo);
-                if dispatch == Dispatch::Selective
+                if selective
                     && received & (1 << b) == 0
                     && self.wake_at[i] > now
                     && !(busy && bit(&self.sensitive, i))
@@ -565,16 +566,15 @@ impl Engine {
                     trace: self.trace.as_mut(),
                 };
                 station.on_slot(&mut ctx);
-                if dispatch != Dispatch::Full {
+                if selective {
                     // A hint at or before `now` means the next slot; the
                     // clamp keeps every live hint in the future, where
-                    // it owns a heap entry.
+                    // it owns a heap entry. A due station's old hint lies
+                    // at or before `now`, so it always pushes.
                     let wake = station
                         .next_wakeup(now)
                         .map_or(Slot::MAX, |s| s.max(now + 1));
-                    if wake != Slot::MAX
-                        && (wake != self.wake_at[i] || dispatch == Dispatch::FullRefresh)
-                    {
+                    if wake != Slot::MAX && wake != self.wake_at[i] {
                         self.wakeups.push(Reverse((wake, i as u32)));
                     }
                     self.wake_at[i] = wake;
@@ -634,12 +634,7 @@ impl Engine {
     /// the workload runner.
     pub fn advance_to<S: Station>(&mut self, stations: &mut [S], target: Slot) {
         while self.now < target {
-            if self.hints_valid {
-                self.step_inner(stations, Dispatch::Selective);
-            } else {
-                self.step_inner(stations, Dispatch::FullRefresh);
-                self.hints_valid = true;
-            }
+            self.step_inner(stations, true);
             if self.now >= target || !self.channel.quiescent_at(self.now) {
                 continue;
             }
@@ -881,10 +876,11 @@ mod tests {
 
     #[test]
     fn alternating_naive_and_fast_stepping_matches_a_pure_run() {
-        // Naive steps leave the wake queue stale, so each `advance_to`
-        // after them must rebuild it, down to stations whose hint did
-        // not change: both still want slot 10 across the naive steps at
-        // 3 and 4.
+        // Naive steps keep no hints and leave every station due, so
+        // each `advance_to` after them first runs every station and
+        // pushes its hint afresh, down to stations whose hint did not
+        // change: both still want slot 10 across the naive steps at 3
+        // and 4.
         let mk = || {
             let mut st = vec![Dozer::new(10), Dozer::new(10)];
             st[0].plan = [10, 20, 40].map(|s| (s, rts(0, 1))).to_vec();
@@ -1011,7 +1007,7 @@ mod tests {
         let mut eng = Engine::new(topo, Capture::None, 1);
         let mut st = vec![mk(false, true), mk(true, false), mk(false, false)];
         eng.run_fast(&mut st, 8);
-        // Slot 0 is the seeding full-refresh slot (everyone runs). The
+        // At slot 0 every station is due (everyone runs). The
         // RTS airs at slot 3 and resolves at 4, so slot-4 media read
         // busy: the sensitive watcher runs at 4, the insensitive one
         // does not — but both receive the frame at 4 (delivery always

@@ -716,8 +716,6 @@ mod tests {
             started: Some(arrival),
             outcome,
             contention_phases: 1,
-            data_tx: 1,
-            control_tx: 0,
             acked: Vec::new(),
             assumed_covered: Vec::new(),
             gave_up: Vec::new(),

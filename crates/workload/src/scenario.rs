@@ -17,6 +17,11 @@ const BURST_SEED: u64 = 0x0062_7572_7374;
 /// longest 802.11 frame at its lowest rate.
 const MAX_FRAME_SLOTS: u32 = 1_000;
 
+/// The largest contention window [`Scenario::validate`] admits: 2²⁰,
+/// the chaos canary's `cw_max`. Below it, binary exponential backoff's
+/// `(cw + 1) * 2` cannot overflow a `u32`.
+const MAX_CW: u32 = 1 << 20;
+
 /// A complete simulation scenario. [`Scenario::default`] is the paper's
 /// Table 2 configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -148,13 +153,18 @@ impl Scenario {
 
     /// Checks what set-up would otherwise assert, so a bad scenario from
     /// a config file, a flag or a request is reported instead of
-    /// panicking mid-run: at least one node and one run, a positive,
-    /// finite `radius`, `msg_rate` in [0, 1], `fer` in [0, 1), burst `p`
-    /// and `r` in [0, 1], control and data airtimes of 1 to
-    /// `MAX_FRAME_SLOTS` slots, and fault and churn plans that fit the
-    /// network. It also refuses a run of no slots, whose utilization
-    /// (busy slots over slots) would be NaN: JSON writes that as `null`,
-    /// and the result would not parse back.
+    /// panicking mid-run or giving a meaningless result: at least one
+    /// node and one run, a positive, finite `radius`, `msg_rate` in
+    /// [0, 1], `fer` in [0, 1), burst `p` and `r` in [0, 1], control and
+    /// data airtimes of 1 to `MAX_FRAME_SLOTS` slots, a DIFS of 2 to
+    /// `MAX_FRAME_SLOTS` slots (a BMMM batch's one idle slot must stay
+    /// below it), `cw_min ≤ cw_max ≤ MAX_CW`, a timeout of at least one
+    /// slot, traffic-mix fractions that are finite and non-negative with
+    /// a positive, finite sum, a finite, non-negative `position_noise`,
+    /// `reliability_threshold` in [0, 1], and fault and churn plans that
+    /// fit the network. It also refuses a run of no slots, whose
+    /// utilization (busy slots over slots) would be NaN: JSON writes
+    /// that as `null`, and the result would not parse back.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_nodes == 0 || self.n_runs == 0 {
             return Err("scenario needs n_nodes >= 1 and n_runs >= 1".into());
@@ -189,6 +199,49 @@ impl Scenario {
                     "{field} {slots} is outside 1..={MAX_FRAME_SLOTS} slots"
                 ));
             }
+        }
+        if !(2..=MAX_FRAME_SLOTS).contains(&t.difs) {
+            return Err(format!(
+                "difs {} is outside 2..={MAX_FRAME_SLOTS} slots",
+                t.difs
+            ));
+        }
+        if t.cw_max > MAX_CW {
+            return Err(format!("cw_max {} is above {MAX_CW}", t.cw_max));
+        }
+        if t.cw_min > t.cw_max {
+            return Err(format!("cw_min {} exceeds cw_max {}", t.cw_min, t.cw_max));
+        }
+        if t.timeout == 0 {
+            return Err("timeout needs at least 1 slot".into());
+        }
+        let mix = &self.mix;
+        for (field, share) in [
+            ("unicast", mix.unicast),
+            ("multicast", mix.multicast),
+            ("broadcast", mix.broadcast),
+        ] {
+            if !(share.is_finite() && share >= 0.0) {
+                return Err(format!("mix.{field} {share} is negative or not finite"));
+            }
+        }
+        let sum = mix.unicast + mix.multicast + mix.broadcast;
+        if !(sum > 0.0 && sum.is_finite()) {
+            return Err(format!(
+                "mix fractions sum to {sum}; the sum must be positive and finite"
+            ));
+        }
+        if !(self.position_noise.is_finite() && self.position_noise >= 0.0) {
+            return Err(format!(
+                "position_noise {} is negative or not finite",
+                self.position_noise
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.reliability_threshold) {
+            return Err(format!(
+                "reliability_threshold {} is outside [0, 1]",
+                self.reliability_threshold
+            ));
         }
         self.faults
             .validate(self.n_nodes)
@@ -397,6 +450,144 @@ mod tests {
             .validate()
             .expect_err("the watchdog checks every `t % window` slot");
         assert!(err.contains("stall_window"), "{err}");
+    }
+
+    /// A five-node, ten-slot scenario that validates.
+    fn small() -> Scenario {
+        Scenario {
+            n_nodes: 5,
+            sim_slots: 10,
+            n_runs: 1,
+            ..Scenario::default()
+        }
+    }
+
+    /// `small()` with `edit` applied, validated; the error must start
+    /// with `message` when one is given.
+    fn assert_validates(edit: impl FnOnce(&mut Scenario), message: Option<&str>) {
+        let mut s = small();
+        edit(&mut s);
+        match (s.validate(), message) {
+            (Ok(()), None) => {}
+            (Err(err), Some(want)) => assert!(err.starts_with(want), "{err}"),
+            (got, want) => panic!("{got:?}, want {want:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_bounds_the_contention_window() {
+        assert_validates(|s| s.timing.cw_max = MAX_CW, None);
+        assert_validates(|s| s.timing.cw_min = 0, None);
+        assert_validates(
+            |s| s.timing.cw_max = MAX_CW + 1,
+            Some("cw_max 1048577 is above"),
+        );
+        assert_validates(
+            |s| s.timing.cw_max = u32::MAX,
+            Some("cw_max 4294967295 is above"),
+        );
+        assert_validates(
+            |s| s.timing.cw_min = 300,
+            Some("cw_min 300 exceeds cw_max 255"),
+        );
+    }
+
+    #[test]
+    fn validate_keeps_difs_above_the_in_batch_gap() {
+        for difs in [2, MAX_FRAME_SLOTS] {
+            assert_validates(|s| s.timing.difs = difs, None);
+        }
+        for difs in [0, 1, MAX_FRAME_SLOTS + 1, u32::MAX] {
+            let want = format!("difs {difs} is outside 2..=");
+            assert_validates(|s| s.timing.difs = difs, Some(&want));
+        }
+    }
+
+    #[test]
+    fn validate_refuses_a_timeout_of_no_slots() {
+        assert_validates(|s| s.timing.timeout = 1, None);
+        assert_validates(
+            |s| s.timing.timeout = 0,
+            Some("timeout needs at least 1 slot"),
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_traffic_mix_that_weighs_nothing() {
+        assert_validates(|s| s.mix.broadcast = 0.0, None);
+        let negative = |s: &mut Scenario| s.mix.unicast = -0.1;
+        assert_validates(negative, Some("mix.unicast -0.1 is negative"));
+        let nan = |s: &mut Scenario| s.mix.multicast = f64::NAN;
+        assert_validates(nan, Some("mix.multicast NaN is negative or not finite"));
+        let inf = |s: &mut Scenario| s.mix.broadcast = f64::INFINITY;
+        assert_validates(inf, Some("mix.broadcast inf is negative or not finite"));
+        let zero = |s: &mut Scenario| {
+            s.mix = crate::TrafficMix {
+                unicast: 0.0,
+                multicast: 0.0,
+                broadcast: 0.0,
+            }
+        };
+        assert_validates(zero, Some("mix fractions sum to 0;"));
+        let huge = |s: &mut Scenario| {
+            s.mix.multicast = f64::MAX;
+            s.mix.broadcast = f64::MAX;
+        };
+        assert_validates(huge, Some("mix fractions sum to inf;"));
+    }
+
+    #[test]
+    fn validate_refuses_negative_or_infinite_position_noise() {
+        assert_validates(|s| s.position_noise = 0.05, None);
+        for sigma in [-0.1, f64::NAN, f64::INFINITY] {
+            let want = format!("position_noise {sigma} is negative or not finite");
+            assert_validates(|s| s.position_noise = sigma, Some(&want));
+        }
+    }
+
+    #[test]
+    fn validate_bounds_the_reliability_threshold() {
+        for threshold in [0.0, 1.0] {
+            assert_validates(|s| s.reliability_threshold = threshold, None);
+        }
+        for threshold in [5.0, -0.5, f64::NAN] {
+            let want = format!("reliability_threshold {threshold} is outside [0, 1]");
+            assert_validates(|s| s.reliability_threshold = threshold, Some(&want));
+        }
+    }
+
+    /// `dest_retry_limit: 0` is accepted: a receiver's first failed
+    /// round exhausts the budget, as it does at 1, so both run alike.
+    #[test]
+    fn a_destination_budget_of_zero_runs_as_one() {
+        let records = |limit| {
+            let mut s = Scenario {
+                n_nodes: 20,
+                sim_slots: 1_500,
+                n_runs: 1,
+                msg_rate: 2e-3,
+                ..Scenario::default()
+            }
+            .with_faults(FaultPlan::parse("crash:3@0;crash:7@0").unwrap());
+            s.timing.dest_retry_limit = limit;
+            assert_eq!(s.validate(), Ok(()));
+            let spec = crate::RunSpec {
+                probes: crate::Probes {
+                    forensic: true,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let nodes = crate::run(&s, rmm_mac::ProtocolKind::Bmmm, 4, &spec).nodes;
+            let nodes = nodes.expect("forensic probe");
+            nodes
+                .iter()
+                .flat_map(|n| n.records().iter().cloned())
+                .collect::<Vec<_>>()
+        };
+        let zero = records(0);
+        assert!(zero.iter().any(|r| !r.gave_up.is_empty()), "no give-up");
+        assert_eq!(zero, records(1));
     }
 
     #[test]

@@ -17,7 +17,10 @@ use rmm_mac::TrafficKind;
 use rmm_sim::{NodeId, Slot, Topology};
 use serde::{Deserialize, Serialize};
 
-/// Message-type mix (must sum to ≤ 1; the remainder generates nothing).
+/// Message-type mix. The fractions are relative weights: [`TrafficMix::draw`]
+/// scales a uniform draw by their sum, so `Scenario::validate` asks
+/// only that each is finite and non-negative and that they sum to a
+/// positive, finite share.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrafficMix {
     /// Fraction of unicast messages (paper: 0.2).
