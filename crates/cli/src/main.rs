@@ -168,20 +168,25 @@ fn main() {
                     trace,
                     profile,
                 };
-                let lines = if local {
-                    rmm::serve::local_lines(&req).expect("protocol came from parse_protocol")
-                } else {
-                    match rmm::serve::submit_one(&addr, &req) {
-                        Ok(lines) => lines,
-                        Err(e) => {
-                            eprintln!("error: submit to {addr}: {e}");
-                            std::process::exit(2);
-                        }
-                    }
+                // Each line is printed, and flushed, as it arrives, so a
+                // trace streams while the server runs it.
+                let mut failed = false;
+                let mut print = |line: &str| {
+                    failed = line.contains("\"Error\"");
+                    use std::io::Write as _;
+                    let mut stdout = std::io::stdout().lock();
+                    writeln!(stdout, "{line}")?;
+                    stdout.flush()
                 };
-                let failed = lines.last().is_some_and(|l| l.contains("\"Error\""));
-                for line in lines {
-                    println!("{line}");
+                if local {
+                    let lines =
+                        rmm::serve::local_lines(&req).expect("protocol came from parse_protocol");
+                    for line in &lines {
+                        print(line).expect("stdout is writable");
+                    }
+                } else if let Err(e) = rmm::serve::submit_each(&addr, &req, &mut print) {
+                    eprintln!("error: submit to {addr}: {e}");
+                    std::process::exit(2);
                 }
                 if failed {
                     std::process::exit(1);

@@ -10,7 +10,8 @@
 //!   manifest entry. Its formats and every committed digest depend on
 //!   it, and it feeds typed fields (`write_str`, `write_u64`) directly.
 //! - [`xxh64`] digests what is long: a serve-cache entry's stream, up to
-//!   several megabytes for a traced cell. FNV-1a runs one serially
+//!   several megabytes for a traced cell. [`Xxh64`] is the same digest
+//!   taken as the stream is written, one chunk at a time. FNV-1a runs one serially
 //!   dependent multiply per byte (about 1.8 ns/byte on a 2-vCPU x86-64
 //!   host); XXH64 runs four independent lanes over 32-byte stripes,
 //!   about ten times faster over a 6 MB stream on the same host.
@@ -78,53 +79,109 @@ const P5: u64 = 0x27d4_eb2f_1656_67c5;
 /// defines it: four accumulators over 32-byte stripes, then the 8-, 4-
 /// and 1-byte tails, then the avalanche.
 pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
-    let stripes = bytes.chunks_exact(32);
-    let tail = stripes.remainder();
-    let mut h = if bytes.len() >= 32 {
-        let mut acc = [
-            seed.wrapping_add(P1).wrapping_add(P2),
-            seed.wrapping_add(P2),
+    let mut h = Xxh64::new(seed);
+    h.update(bytes);
+    h.finish()
+}
+
+/// Incremental XXH64: [`Xxh64::update`] any number of times, then
+/// [`Xxh64::finish`], equals [`xxh64`] over the concatenated input,
+/// however it was split. It holds 80 bytes of state, so a stream of
+/// any length is digested as it is written.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    seed: u64,
+    acc: [u64; 4],
+    /// The start of a stripe not yet complete.
+    stripe: [u8; 32],
+    buffered: usize,
+    len: u64,
+}
+
+impl Xxh64 {
+    /// Starts a digest under `seed`.
+    pub fn new(seed: u64) -> Xxh64 {
+        Xxh64 {
             seed,
-            seed.wrapping_sub(P1),
-        ];
-        for stripe in stripes {
-            for (acc, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
-                *acc = xxh64_round(*acc, le_u64(lane));
-            }
+            acc: [
+                seed.wrapping_add(P1).wrapping_add(P2),
+                seed.wrapping_add(P2),
+                seed,
+                seed.wrapping_sub(P1),
+            ],
+            stripe: [0; 32],
+            buffered: 0,
+            len: 0,
         }
-        let [a, b, c, d] = acc;
-        let h = a
-            .rotate_left(1)
-            .wrapping_add(b.rotate_left(7))
-            .wrapping_add(c.rotate_left(12))
-            .wrapping_add(d.rotate_left(18));
-        acc.into_iter().fold(h, |h, acc| {
-            (h ^ xxh64_round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
-        })
-    } else {
-        seed.wrapping_add(P5)
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let mut words = tail.chunks_exact(8);
-    for word in &mut words {
-        h ^= xxh64_round(0, le_u64(word));
-        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
     }
-    let mut rest = words.remainder();
-    if let Some((word, after)) = rest.split_first_chunk::<4>() {
-        h ^= u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1);
-        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
-        rest = after;
+
+    /// Feeds the next bytes of the input.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.buffered > 0 {
+            let take = bytes.len().min(32 - self.buffered);
+            self.stripe[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < 32 {
+                return;
+            }
+            let stripe = self.stripe;
+            self.round(&stripe);
+            self.buffered = 0;
+        }
+        let stripes = bytes.chunks_exact(32);
+        let rest = stripes.remainder();
+        for stripe in stripes {
+            self.round(stripe);
+        }
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
-    for &b in rest {
-        h ^= u64::from(b).wrapping_mul(P5);
-        h = h.rotate_left(11).wrapping_mul(P1);
+
+    fn round(&mut self, stripe: &[u8]) {
+        for (acc, lane) in self.acc.iter_mut().zip(stripe.chunks_exact(8)) {
+            *acc = xxh64_round(*acc, le_u64(lane));
+        }
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = if self.len >= 32 {
+            let [a, b, c, d] = self.acc;
+            let h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            self.acc.into_iter().fold(h, |h, acc| {
+                (h ^ xxh64_round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
+            })
+        } else {
+            self.seed.wrapping_add(P5)
+        };
+        h = h.wrapping_add(self.len);
+        let mut words = self.stripe[..self.buffered].chunks_exact(8);
+        for word in &mut words {
+            h ^= xxh64_round(0, le_u64(word));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        }
+        let mut rest = words.remainder();
+        if let Some((word, after)) = rest.split_first_chunk::<4>() {
+            h ^= u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest = after;
+        }
+        for &b in rest {
+            h ^= u64::from(b).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
 }
 
 fn xxh64_round(acc: u64, lane: u64) -> u64 {
@@ -264,6 +321,42 @@ mod tests {
             // The same length at an unaligned start.
             let bytes = &input[input.len() - len..];
             assert_eq!(xxh64(bytes, 7), reference_xxh64(bytes, 7), "len {len}");
+        }
+    }
+
+    #[test]
+    fn xxh64_streaming_matches_one_shot_at_every_split() {
+        // Every split point of every length from 0 to 300 in two
+        // pieces, then the same lengths fed in pieces of each size from
+        // 1 to 40 bytes: stripes completed across calls, pieces that
+        // fill a stripe exactly, and tails left in the stripe buffer.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let input: Vec<u8> = (0..301).map(|_| draw() as u8).collect();
+        let seeds = [0, 1, u64::MAX, draw(), draw()];
+        for len in 0..=300 {
+            // Aligned at the start of the input, and one byte in.
+            for bytes in [&input[..len], &input[1..=len]] {
+                for seed in seeds {
+                    let want = xxh64(bytes, seed);
+                    for split in 0..=len {
+                        let mut h = Xxh64::new(seed);
+                        h.update(&bytes[..split]);
+                        h.update(&bytes[split..]);
+                        assert_eq!(h.finish(), want, "len {len} split {split} seed {seed:#x}");
+                    }
+                    for piece in 1..=40 {
+                        let mut h = Xxh64::new(seed);
+                        bytes.chunks(piece).for_each(|p| h.update(p));
+                        assert_eq!(h.finish(), want, "len {len} pieces of {piece}");
+                    }
+                }
+            }
         }
     }
 

@@ -42,7 +42,7 @@ pub mod service;
 pub mod sweep;
 
 pub use cores::{cores, spare_cores, with_spare_cores};
-pub use digest::{fnv1a, hex, xxh64, Fnv1a};
+pub use digest::{fnv1a, hex, xxh64, Fnv1a, Xxh64};
 pub use id::JobId;
 pub use manifest::{Manifest, ManifestError, ManifestHeader, MANIFEST_VERSION};
 pub use pool::{resolve_workers, run_parallel};

@@ -46,6 +46,22 @@ fn is_terminal(response: &Response) -> bool {
 /// Sends one run request on a fresh connection and collects its full
 /// response-line stream (`Started` … terminal line), verbatim.
 pub fn submit_one(addr: impl ToSocketAddrs, req: &RunRequest) -> std::io::Result<Vec<String>> {
+    let mut lines = Vec::new();
+    submit_each(addr, req, |line| {
+        lines.push(line.to_string());
+        Ok(())
+    })?;
+    Ok(lines)
+}
+
+/// Sends one run request on a fresh connection and hands each response
+/// line to `each`, verbatim and without its newline, as it arrives,
+/// through the terminal line.
+pub fn submit_each(
+    addr: impl ToSocketAddrs,
+    req: &RunRequest,
+    mut each: impl FnMut(&str) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let mut stream = connect(addr)?;
     writeln!(
         stream,
@@ -53,7 +69,6 @@ pub fn submit_one(addr: impl ToSocketAddrs, req: &RunRequest) -> std::io::Result
         serde_json::to_string(&Request::Run(req.clone())).expect("request serializes")
     )?;
     stream.flush()?;
-    let mut lines = Vec::new();
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -61,13 +76,12 @@ pub fn submit_one(addr: impl ToSocketAddrs, req: &RunRequest) -> std::io::Result
         if reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::other("server closed before terminal line"));
         }
-        let text = line.trim_end_matches('\n').to_string();
-        let response: Response = serde_json::from_str(&text)
+        let text = line.trim_end_matches('\n');
+        let response: Response = serde_json::from_str(text)
             .map_err(|e| std::io::Error::other(format!("bad response line: {e}")))?;
-        let done = is_terminal(&response);
-        lines.push(text);
-        if done {
-            return Ok(lines);
+        each(text)?;
+        if is_terminal(&response) {
+            return Ok(());
         }
     }
 }

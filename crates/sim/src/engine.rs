@@ -361,7 +361,13 @@ impl Engine {
 
     /// Enables event tracing (disabled by default; it allocates).
     pub fn enable_trace(&mut self) {
-        self.trace = Some(Trace::new());
+        self.enable_trace_into(Trace::new());
+    }
+
+    /// Enables event tracing into `trace`: a buffering one collects the
+    /// events, a forwarding one hands each to its sink as it happens.
+    pub fn enable_trace_into(&mut self, trace: Trace) {
+        self.trace = Some(trace);
     }
 
     /// The trace, if tracing was enabled.

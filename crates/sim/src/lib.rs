@@ -45,7 +45,7 @@ pub use frame::{Dest, Frame, FrameInfo, FrameKind};
 pub use ids::{BuildIdHasher, IdHasher, MsgId, MsgSet, NodeId, Slot};
 pub use ledger::{AirtimeBreakdown, AirtimeByKind, AirtimeLedger};
 pub use topology::Topology;
-pub use trace::{idle_gaps, max_idle_gap, Trace, TraceEvent};
+pub use trace::{idle_gaps, max_idle_gap, Trace, TraceEvent, TraceSink};
 pub use wire::{
     crc32, decode as decode_frame, encode as encode_frame, MacAddr, WireError, WireFrame,
 };

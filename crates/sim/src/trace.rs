@@ -5,6 +5,7 @@
 use crate::frame::{Dest, Frame, FrameKind};
 use crate::ids::{MsgId, NodeId, Slot};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 
 /// A recorded simulator event.
 ///
@@ -219,24 +220,58 @@ impl TraceEvent {
     }
 }
 
-/// An append-only event log.
-#[derive(Debug, Clone, Default)]
+/// Where a forwarding [`Trace`] hands its events.
+pub trait TraceSink: Any + Send {
+    /// Takes the next event, in emission order.
+    fn event(&mut self, ev: TraceEvent);
+}
+
+/// An append-only event log: it buffers its events, or forwards each
+/// to a [`TraceSink`] as it is pushed and keeps none.
+#[derive(Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
+    sink: Option<Box<dyn TraceSink>>,
+}
+
+impl std::fmt::Debug for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trace")
+            .field("events", &self.events)
+            .field("forwarding", &self.sink.is_some())
+            .finish()
+    }
 }
 
 impl Trace {
-    /// Creates an empty trace.
+    /// Creates an empty buffering trace.
     pub fn new() -> Self {
         Trace::default()
     }
 
-    /// Appends an event.
-    pub fn push(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
+    /// Creates a trace that hands every event to `sink` and keeps none.
+    pub fn forward(sink: impl TraceSink) -> Self {
+        Trace {
+            events: Vec::new(),
+            sink: Some(Box::new(sink)),
+        }
     }
 
-    /// All recorded events, in order.
+    /// The sink of a forwarding trace, if it is an `S`.
+    pub fn into_sink<S: TraceSink>(self) -> Option<S> {
+        let sink: Box<dyn Any> = self.sink?;
+        sink.downcast().ok().map(|sink| *sink)
+    }
+
+    /// Appends an event, or forwards it.
+    pub fn push(&mut self, ev: TraceEvent) {
+        match &mut self.sink {
+            Some(sink) => sink.event(ev),
+            None => self.events.push(ev),
+        }
+    }
+
+    /// All recorded events, in order; none for a forwarding trace.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
@@ -343,7 +378,7 @@ impl Trace {
             }
             events.push(serde_json::from_str(line)?);
         }
-        Ok(Trace { events })
+        Ok(Trace { events, sink: None })
     }
 }
 
@@ -406,6 +441,30 @@ mod tests {
         assert_eq!(tr.events().len(), 2);
         assert_eq!(tr.events()[0].slot(), 3);
         assert_eq!(tr.events()[1].slot(), 4);
+    }
+
+    #[test]
+    fn a_forwarding_trace_hands_each_event_on_and_keeps_none() {
+        struct Slots(Vec<Slot>);
+        impl TraceSink for Slots {
+            fn event(&mut self, ev: TraceEvent) {
+                self.0.push(ev.slot());
+            }
+        }
+        let mut tr = Trace::forward(Slots(Vec::new()));
+        let f = Frame::control(
+            FrameKind::Cts,
+            NodeId(1),
+            Dest::Node(NodeId(0)),
+            0,
+            MsgId::new(NodeId(0), 0),
+        );
+        for slot in [2, 5, 9] {
+            tr.tx_start(slot, &f);
+        }
+        assert!(tr.events().is_empty());
+        assert!(Trace::new().into_sink::<Slots>().is_none());
+        assert_eq!(tr.into_sink::<Slots>().map(|s| s.0), Some(vec![2, 5, 9]));
     }
 
     #[test]

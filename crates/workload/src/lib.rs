@@ -50,7 +50,7 @@ pub use observe::{collect_metrics, PhaseTimings, RunManifest};
 pub use placement::uniform_square;
 pub use runner::{
     mean_group_metrics, run, run_many, run_many_jobs, run_one, run_one_naive, run_one_profiled,
-    Probes, RunOutput, RunResult, RunSpec, StallReport, Stepping,
+    run_traced, Probes, RunOutput, RunResult, RunSpec, StallReport, Stepping,
 };
 pub use scenario::{scenario_schema_hash, Scenario};
 pub use traffic::{TrafficGen, TrafficMix};

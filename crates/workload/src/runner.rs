@@ -320,7 +320,22 @@ struct Mobile {
 /// run, so a run that panics drops it and the producer stops at its
 /// next send instead of waiting on a full queue.
 pub fn run(scenario: &Scenario, protocol: ProtocolKind, seed: u64, spec: &RunSpec) -> RunOutput {
-    std::thread::scope(|scope| run_in(scope, scenario, protocol, seed, spec))
+    let trace = spec.probes.trace.then(Trace::new);
+    std::thread::scope(|scope| run_in(scope, scenario, protocol, seed, spec, trace))
+}
+
+/// [`run`] traced into `trace`, whatever `spec.probes.trace` says: a
+/// buffering [`Trace`] collects the events as [`run`] does, a
+/// forwarding one hands each to its sink as the engine emits it. The
+/// trace comes back in [`RunOutput::trace`].
+pub fn run_traced(
+    scenario: &Scenario,
+    protocol: ProtocolKind,
+    seed: u64,
+    spec: &RunSpec,
+    trace: Trace,
+) -> RunOutput {
+    std::thread::scope(|scope| run_in(scope, scenario, protocol, seed, spec, Some(trace)))
 }
 
 /// [`run`] inside the scope that holds its traffic producer, if any.
@@ -330,6 +345,7 @@ fn run_in<'scope>(
     protocol: ProtocolKind,
     seed: u64,
     spec: &RunSpec,
+    trace: Option<Trace>,
 ) -> RunOutput {
     let fast = spec.stepping == Stepping::Fast;
     let t_setup = Instant::now();
@@ -345,8 +361,9 @@ fn run_in<'scope>(
         beacon: topo.clone(),
     });
     let mut engine = scenario.build_engine(topo, seed);
-    if spec.probes.trace {
-        engine.enable_trace();
+    let traced = trace.is_some();
+    if let Some(trace) = trace {
+        engine.enable_trace_into(trace);
     }
     if spec.probes.profile {
         engine.enable_profiling();
@@ -461,7 +478,7 @@ fn run_in<'scope>(
             protocol,
             seed,
             slot_budget: scenario.sim_slots,
-            traced: spec.probes.trace,
+            traced,
             wall_clock: PhaseTimings {
                 setup_us,
                 simulate_us,
